@@ -101,6 +101,8 @@ def parse_grid(text: str, positive: bool = True) -> np.ndarray:
         points = int(parts[2])
     except ValueError:
         raise CliError(f"bad grid numbers in {text!r}") from None
+    if not (math.isfinite(lo) and math.isfinite(hi)):
+        raise CliError(f"grid bounds must be finite, got {text!r}")
     kind = parts[3]
     if kind not in ("log", "lin"):
         raise CliError(f"grid kind must be log or lin, got {kind!r}")
@@ -160,6 +162,8 @@ def resolve_weights(spec: str, ensemble: SpinEnsemble) -> tuple[BlockWeights, st
             b0 = float(spec.split("=", 1)[1])
         except ValueError:
             raise CliError(f"bad thermal weights spec {spec!r}") from None
+        if not math.isfinite(b0):
+            raise CliError(f"thermal weights need a finite b0, got {spec!r}")
         return thermal_product_weights(ensemble, b0), spec
     if spec.startswith("file="):
         path = spec.split("=", 1)[1]
@@ -269,6 +273,8 @@ def _exact_cycle_values(args, ensemble, weights, x, quantity) -> list[float]:
 
 
 def cmd_sweep(args) -> None:
+    if args.nu < 1:
+        raise CliError(f"--nu must be a measurement count >= 1, got {args.nu}")
     ensemble = SpinEnsemble(args.n, parse_spin(args.spin))
     weights, provenance = resolve_weights(args.weights, ensemble)
     grid = parse_grid(args.grid)
@@ -423,6 +429,11 @@ def cmd_dynamics(args) -> None:
         raise CliError("dynamics times must be >= 0")
     state0 = _initial_state(args, weights, provenance)
     target = stationary_state(state0, rates)
+    if args.oracle and ensemble.dim > oracle.DIM_CAP:
+        raise CliError(
+            f"oracle mode: Hilbert dimension {ensemble.dim} exceeds cap {oracle.DIM_CAP}"
+        )
+    gen = collective_generator(ensemble, rates) if times.size else None
 
     pop_keys = []
     if args.populations:
@@ -432,10 +443,6 @@ def cmd_dynamics(args) -> None:
     columns += [f"pop_2J{tj}_2m{tm}" for tj, tm in pop_keys]
 
     if args.oracle:
-        if ensemble.dim > oracle.DIM_CAP:
-            raise CliError(
-                f"oracle mode: Hilbert dimension {ensemble.dim} exceeds cap {oracle.DIM_CAP}"
-            )
         rho0 = oracle.state_from_populations(state0, ensemble)
         rows = []
         for t, rho in zip(times, oracle.trajectory(rho0, rates, times)):
@@ -444,7 +451,6 @@ def cmd_dynamics(args) -> None:
             row += [float(pops.blocks[tj][(tm + tj) // 2]) for tj, tm in pop_keys]
             rows.append(row)
     else:
-        gen = collective_generator(ensemble, rates)
         rows = []
         for t in times:
             st = evolve(state0, gen, float(t))
@@ -454,7 +460,6 @@ def cmd_dynamics(args) -> None:
 
     trailing = None
     if times.size:
-        gen = collective_generator(ensemble, rates)
         relax = relaxation_time(state0, gen, args.epsilon)
         trailing = {
             "relaxation_time_inv_G": relax.time,

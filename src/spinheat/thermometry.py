@@ -136,20 +136,18 @@ def fisher_collective_projection(weights: BlockWeights, b: float) -> FisherResul
     """Fisher information (times T^2) of the joint (J, m) projection.
 
     Resolving the sector restores the pooled information: this measurement
-    saturates the quantum bound for every weight vector.
+    saturates the quantum bound for every weight vector. Each outcome
+    (J, m) has probability p_J q_m and score e_J - m, so sector J adds
+    p_J sum_m q_m (e_J - m)^2; written this way no outcome probability is
+    divided by, and one that underflows to zero simply adds nothing.
     """
     if b == 0.0:
         return FisherResult(0.0, b, "projection")
     fb = 0.0
     for tj, p in weights.sorted_items():
-        if p == 0.0:
-            continue
         q = ladder_boltzmann(tj, b)
         m = ladder_two_m(tj) * 0.5
-        e = block_energy(tj, b)
-        mask = q > 0.0
-        d = p * q[mask] * (e - m[mask])
-        fb += float(np.sum(d * d / (p * q[mask])))
+        fb += p * float(np.dot(q, (block_energy(tj, b) - m) ** 2))
     return FisherResult(b * b * fb, b, "projection")
 
 

@@ -40,7 +40,8 @@ class TestParsers:
         assert parse_grid("5:9:0:lin").size == 0
 
     def test_grid_rejects(self):
-        for bad in ("1:2:3", "2:1:5:log", "0:1:4:log", "1:2:-1:lin", "a:b:c:lin"):
+        for bad in ("1:2:3", "2:1:5:log", "0:1:4:log", "1:2:-1:lin", "a:b:c:lin",
+                    "nan:nan:2:lin", "1:inf:3:log", "-inf:1:3:lin"):
             with pytest.raises(CliError):
                 parse_grid(bad)
 
@@ -233,6 +234,21 @@ class TestDynamics:
         assert rc == 2
         assert "cap" in err
 
+    def test_nan_bath_is_usage_error(self, capsys):
+        rc, _, err = run(
+            capsys, "dynamics", "--n", "2", "--spin", "1/2", "--bh", "nan", "--grid", "0:1:2:lin",
+        )
+        assert rc == 2
+        assert "g_up must be finite" in err
+
+    def test_infinite_bath_is_zero_temperature(self, capsys):
+        # g_up = 0: the symmetric n = 2 ladder decays at its edge rate 2J = 2
+        rc, out, _ = run(
+            capsys, "dynamics", "--n", "2", "--spin", "1/2", "--bh", "inf", "--grid", "0:1:2:lin",
+        )
+        assert rc == 0
+        assert float(out.split("spectral_gap_G = ")[1].splitlines()[0]) == pytest.approx(2.0)
+
     def test_missing_bath_is_usage_error(self, capsys):
         rc, _, err = run(capsys, "dynamics", "--n", "2", "--spin", "1/2", "--grid", "0:1:2:lin")
         assert rc == 2
@@ -300,6 +316,33 @@ class TestExitCodes:
         )
         assert rc == 2
         assert "ordered" in err
+
+    def test_non_finite_grid(self, capsys):
+        rc, out, err = run(
+            capsys, "sweep", "--n", "3", "--spin", "1/2", "--quantity", "heat-capacity",
+            "--grid", "nan:nan:2:lin",
+        )
+        assert rc == 2
+        assert out == ""
+        assert "finite" in err
+
+    def test_non_finite_thermal_weights(self, capsys):
+        for b0 in ("nan", "inf", "-inf"):
+            rc, out, err = run(
+                capsys, "sweep", "--n", "3", "--spin", "1/2", "--quantity", "heat-capacity",
+                "--weights", f"thermal={b0}", "--grid", "1:2:2:lin",
+            )
+            assert rc == 2
+            assert out == ""
+            assert "finite b0" in err
+
+    def test_zero_measurement_count(self, capsys):
+        rc, _, err = run(
+            capsys, "sweep", "--n", "3", "--spin", "1/2", "--quantity", "precision",
+            "--nu", "0", "--grid", "1:2:2:lin",
+        )
+        assert rc == 2
+        assert "--nu" in err
 
     def test_numeric_failure_is_exit_3(self, capsys, tmp_path):
         # all weight on the trivial sector: precision bound diverges

@@ -2,6 +2,9 @@ import math
 
 import numpy as np
 import pytest
+import scipy.linalg
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from spinheat.dynamics import (
     ConvergenceError,
@@ -34,10 +37,13 @@ class TestRatePair:
         assert r.bath_b == math.inf
 
     def test_validation(self):
+        for g_down, g_up in [(0.0, 1.0), (1.0, -0.5), (math.nan, 1.0), (1.0, math.nan),
+                             (math.inf, 1.0), (1.0, math.inf)]:
+            with pytest.raises(ValueError, match="finite"):
+                RatePair(g_down, g_up)
         with pytest.raises(ValueError):
-            RatePair(0.0, 1.0)
-        with pytest.raises(ValueError):
-            RatePair(1.0, -0.5)
+            RatePair.thermal(math.nan)
+        assert RatePair.thermal(math.inf).g_up == 0.0
 
 
 class TestGenerators:
@@ -211,6 +217,99 @@ class TestRelaxation:
             res = relaxation_time(aligned_state(symmetric_weights(ens)), gen, eps)
             assert res.spectral_gap / t_single.spectral_gap >= 0.9 * n
             assert t_single.time / res.time >= 0.9 * n
+
+
+def from_scratch_relaxation(state0, gen, epsilon):
+    """Doubling then bisection with every probe propagated from t = 0 by `evolve`."""
+    target = stationary_state(state0, gen.rates)
+    gap = spectral_gap(state0, gen)
+
+    def dist(t):
+        return evolve(state0, gen, t).tv_distance(target)
+
+    if dist(0.0) < epsilon:
+        return 0.0
+    t_lo, t_hi = 0.0, 1.0 / gap
+    while dist(t_hi) >= epsilon:
+        t_lo, t_hi = t_hi, 2.0 * t_hi
+    while t_hi - t_lo > 1e-3 * t_hi:
+        mid = 0.5 * (t_lo + t_hi)
+        if dist(mid) < epsilon:
+            t_hi = mid
+        else:
+            t_lo = mid
+    return t_hi
+
+
+def assert_matches_from_scratch(state0, gen, epsilon=1e-3):
+    res = relaxation_time(state0, gen, epsilon)
+    assert res.time == pytest.approx(from_scratch_relaxation(state0, gen, epsilon), rel=1.1e-3)
+    # the reported time brackets epsilon when read with evolve from t = 0
+    target = stationary_state(state0, gen.rates)
+    assert evolve(state0, gen, res.time).tv_distance(target) < epsilon + 1e-9
+    if res.time > 0.0:
+        assert evolve(state0, gen, res.time * (1.0 - 1e-3)).tv_distance(target) >= epsilon - 1e-9
+    return res
+
+
+class TestTridiagonalPaths:
+    @settings(max_examples=40, deadline=None, derandomize=True)
+    @given(two_j=st.integers(1, 200), b=st.floats(0.1, 20.0))
+    def test_gap_matches_dense_eigvals(self, two_j, b):
+        gen = independent_generator(two_j, RatePair.thermal(b))
+        gap = spectral_gap(aligned_state(symmetric_weights(SpinEnsemble(1, two_j))), gen)
+        a = gen.blocks[two_j]
+        w, vl, vr = scipy.linalg.eig(a, left=True, right=True)
+        re = np.abs(w.real)
+        nz = np.flatnonzero(re > 1e-9 * re.max())
+        k = nz[np.argmin(re[nz])]
+        # the non-symmetric dense solve is itself ill-conditioned here (up to
+        # 3e-8 relative at b ~ 0.3, 2J ~ 200), so its own first-order error
+        # bound eps ||A|| / |y^H x| is added to the 1e-9 tolerance
+        kappa = 1.0 / abs(np.vdot(vl[:, k], vr[:, k]))
+        tol = 1e-9 * gap + 4.0 * kappa * np.finfo(float).eps * np.linalg.norm(a)
+        assert abs(gap - re[k]) <= tol
+
+    def test_gap_at_zero_temperature(self):
+        # g_up = 0: triangular generator, spectrum is its diagonal; gap = edge rate 2J
+        rates = RatePair(1.0, 0.0)
+        for two_j in range(1, 201):
+            gen = independent_generator(two_j, rates)
+            gap = spectral_gap(aligned_state(symmetric_weights(SpinEnsemble(1, two_j))), gen)
+            re = np.abs(np.linalg.eigvals(gen.blocks[two_j]).real)
+            assert gap == pytest.approx(float(re[re > 0.0].min()), rel=1e-9)
+            assert gap == pytest.approx(two_j, rel=1e-12)
+
+    @settings(max_examples=25, deadline=None, derandomize=True)
+    @given(n=st.integers(1, 40), two_s=st.integers(1, 3), b=st.floats(0.1, 10.0),
+           top=st.booleans())
+    def test_relaxation_symmetric_starts(self, n, two_s, b, top):
+        ens = SpinEnsemble(n, two_s)
+        w = symmetric_weights(ens)
+        state0 = aligned_state(w, excited=True) if top else uniform_state(w)
+        assert_matches_from_scratch(state0, collective_generator(ens, RatePair.thermal(b)))
+
+    @settings(max_examples=20, deadline=None, derandomize=True)
+    @given(n=st.integers(8, 60), b0=st.floats(0.05, 2.0), b=st.floats(0.1, 10.0))
+    def test_relaxation_gibbs_starts_many_sectors(self, n, b0, b):
+        ens = SpinEnsemble(n, 1)
+        state0 = gibbs_state(thermal_product_weights(ens, b0), b0)
+        assert_matches_from_scratch(state0, collective_generator(ens, RatePair.thermal(b)))
+
+    @settings(max_examples=20, deadline=None, derandomize=True)
+    @given(n=st.integers(2, 60), b=st.floats(0.5, 5.0), excess=st.floats(1e-8, 1e-5))
+    def test_relaxation_crossing_before_inverse_gap(self, n, b, excess):
+        # (1 + excess) * epsilon from stationary, the excess on the ground
+        # level: the crossing comes over a thousand times sooner than 1/gap,
+        # below every step that a crossing after 1/gap needs
+        ens = SpinEnsemble(n, 1)
+        rates = RatePair.thermal(b)
+        bottom = aligned_state(symmetric_weights(ens))
+        target = stationary_state(bottom, rates)
+        alpha = 1e-3 * (1.0 + excess) / bottom.tv_distance(target)
+        state0 = PopulationState({n: alpha * bottom.blocks[n] + (1.0 - alpha) * target.blocks[n]})
+        res = assert_matches_from_scratch(state0, collective_generator(ens, rates))
+        assert 0.0 < res.time * res.spectral_gap < 1e-3
 
 
 class TestTransitionRates:

@@ -9,6 +9,7 @@ from spinheat.sectors import (
     block_partition_function,
     sector_multiplicities,
     symmetric_weights,
+    thermal_product_weights,
 )
 from spinheat.thermo import block_energy, block_heat_capacity
 from spinheat.thermometry import (
@@ -137,6 +138,13 @@ class TestCollectiveProjection:
     def test_trivial_weights(self):
         w = BlockWeights(SpinEnsemble(2, 1), {0: 1.0})
         assert fisher_collective_projection(w, 1.0).value == 0.0
+
+    def test_underflowing_outcome_probabilities(self):
+        # hundreds of sectors: p_J q_m underflows to 0 for some (J, m) outcomes
+        w = thermal_product_weights(SpinEnsemble(400, 1), 0.5)
+        want = qfi(w, 2.0).value
+        assert want == pytest.approx(0.72406, rel=1e-5)
+        assert fisher_collective_projection(w, 2.0).value == pytest.approx(want, rel=1e-10)
 
     def test_against_per_block_sld_matrices(self):
         # explicit matrix evaluation: F T^2 = b^2 sum_J p_J Tr[rho_J (Jz - e_J)^2]

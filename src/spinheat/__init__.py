@@ -38,7 +38,6 @@ from .thermometry import (
     fisher_collective_projection,
     fisher_energy_measurement,
     min_relative_stddev,
-    precision_enhancement_ratio,
     qfi,
     qfi_moment_form,
 )

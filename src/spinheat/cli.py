@@ -32,6 +32,7 @@ from .thermo import (
     collective_heat_capacity,
     critical_temperature_approx,
     critical_temperature_numeric,
+    heat_capacity_ratio,
     independent_heat_capacity,
 )
 from .otto import OttoParams, cycle_exact
@@ -376,7 +377,7 @@ def cmd_si_report(args) -> None:
         "omega_rad_per_s": args.hbar_omega / HBAR,
         "temperature_unit_K": t_unit,
     }
-    enhancement = (ensemble.two_j_max + 2.0) / (ensemble.two_s + 2.0)
+    enhancement = heat_capacity_ratio(ensemble, 0.0)
     if ensemble.n >= 2:
         fields["tcr_closed_form_K"] = critical_temperature_approx(ensemble) * t_unit
         fields["tcr_numeric_K"] = critical_temperature_numeric(ensemble) * t_unit

@@ -11,6 +11,7 @@ work is reported positive.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 from .sectors import BlockWeights, SpinEnsemble, symmetric_weights
@@ -49,8 +50,9 @@ class OttoParams:
 
     def __post_init__(self):
         for name in ("lambda_c", "lambda_h", "b_c", "b_h"):
-            if getattr(self, name) <= 0.0:
-                raise ValueError(f"{name} must be > 0, got {getattr(self, name)}")
+            value = getattr(self, name)
+            if not math.isfinite(value) or value <= 0.0:
+                raise ValueError(f"{name} must be finite and > 0, got {value}")
 
     @property
     def theta_c(self) -> float:

@@ -2,9 +2,12 @@
 
 The collective dissipator conserves the total-spin quantum number J, so an
 ensemble state is summarized by how much weight sits in each J sector.
-Multiplicities are exact Python integers (no overflow for any n we care
-about); weights coming from thermal product states are evaluated in log
-space so deep initial temperatures are safe.
+Multiplicities are exact Python integers: the number of product states with
+total J_z = M is the coefficient c_{ns-M} of (1 + x + ... + x^{2s})^n, and
+l_J = c_{ns-J} - c_{ns-J-1}. The coefficients come from J. C. P. Miller's
+recurrence for the power of a polynomial, O(n s^2) integer operations, so
+n ~ 10^4 is cheap. Weights coming from thermal product states are evaluated
+in log space so deep initial temperatures are safe.
 """
 
 from __future__ import annotations
@@ -75,23 +78,33 @@ class SectorTable:
         return sum(l * (tj + 1) for tj, l in self.multiplicities.items())
 
 
-@lru_cache(maxsize=None)
+# Bounded: a table costs milliseconds to rebuild, while an unbounded cache
+# keeps one for every ensemble a long-running process has ever seen.
+@lru_cache(maxsize=16)
 def sector_multiplicities(ensemble: SpinEnsemble) -> SectorTable:
-    """Sector multiplicities by iterated angular-momentum coupling.
+    """Sector multiplicities l_J from the J_z-count polynomial.
 
-    Couples one spin at a time: a sector (two_j, count) feeds every
-    two_j' in |two_j - two_s| .. two_j + two_s (step 2). Integer arithmetic
-    throughout, so counts are exact for any n.
+    With d = two_s, c_k is the coefficient of x^k in P = Q^n, Q = 1 + x + ...
+    + x^d: the number of product states with total J_z = ns - k. Since
+    Q P' = n Q' P, Miller's recurrence (Knuth, TAOCP vol. 2, sec. 4.7) gives
+    c_0 = 1 and k c_k = sum_{j=1..min(d,k)} (n j - (k - j)) c_{k-j}, with
+    every division by k exact. c is symmetric, so only k <= n d / 2 is
+    needed, and l_J = c_{ns-J} - c_{ns-J-1}. That is O(n d^2) integer
+    operations in exact Python integers, for any n.
     """
-    two_s = ensemble.two_s
-    counts: dict[int, int] = {two_s: 1}
-    for _ in range(ensemble.n - 1):
-        nxt: dict[int, int] = {}
-        for tj, c in counts.items():
-            for tj2 in range(abs(tj - two_s), tj + two_s + 1, 2):
-                nxt[tj2] = nxt.get(tj2, 0) + c
-        counts = nxt
-    return SectorTable(ensemble, dict(sorted(counts.items())))
+    n, d = ensemble.n, ensemble.two_s
+    c = [1]
+    for k in range(1, n * d // 2 + 1):
+        acc = 0
+        for j in range(1, min(d, k) + 1):
+            acc += (n * j - (k - j)) * c[k - j]
+        c.append(acc // k)
+    counts: dict[int, int] = {}
+    for k in range(len(c) - 1, -1, -1):  # ascending two_j = n d - 2k
+        l = c[k] - (c[k - 1] if k else 0)
+        if l:
+            counts[n * d - 2 * k] = l
+    return SectorTable(ensemble, counts)
 
 
 def log_block_partition_function(two_j: int, b: float) -> float:

@@ -14,9 +14,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .sectors import BlockWeights, SpinEnsemble
+from .sectors import BlockWeights
 from .special import ladder_boltzmann, ladder_two_m
-from .thermo import block_energy, collective_heat_capacity, heat_capacity_ratio
+from .thermo import block_energy, collective_heat_capacity
 
 __all__ = [
     "FisherResult",
@@ -28,7 +28,6 @@ __all__ = [
     "fisher_energy_measurement",
     "fisher_collective_projection",
     "min_relative_stddev",
-    "precision_enhancement_ratio",
 ]
 
 
@@ -161,12 +160,3 @@ def min_relative_stddev(weights: BlockWeights, b: float, nu: int = 1) -> Precisi
             f"collective heat capacity vanishes at b={b}; no temperature bound"
         )
     return PrecisionBound(1.0 / math.sqrt(c), nu)
-
-
-def precision_enhancement_ratio(ensemble: SpinEnsemble, b: float) -> float:
-    """Best-case QFI gain of collective over independent coupling.
-
-    Equals the heat-capacity ratio C_{ns}/(n C_s); exceeds 1 exactly above
-    the crossover temperature.
-    """
-    return heat_capacity_ratio(ensemble, b)

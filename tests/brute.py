@@ -3,7 +3,8 @@
 Independent of the package's own dense oracle: builds the total-spin Casimir
 directly and diagonalizes it inside each J_z eigenspace, giving sector
 multiplicities and sector weights of diagonal states for dimensions up to
-~1024.
+~1024. Also holds the iterated-coupling count of sector multiplicities, an
+exact integer oracle for any n.
 """
 
 import numpy as np
@@ -56,6 +57,23 @@ def sector_data(n, two_s):
             w = coeffs.setdefault(two_j, np.zeros(dim))
             w[idx] += evecs[:, col] ** 2
     return mult, coeffs
+
+
+def coupling_multiplicities(n, two_s):
+    """Exact l_J per two_j by iterated angular-momentum coupling, O(n^2 s^2).
+
+    Couples one spin at a time: a sector (two_j, count) feeds every
+    two_j' in |two_j - two_s| .. two_j + two_s (step 2). Python integers
+    throughout, so counts are exact for any n.
+    """
+    counts = {two_s: 1}
+    for _ in range(n - 1):
+        nxt = {}
+        for tj, c in counts.items():
+            for tj2 in range(abs(tj - two_s), tj + two_s + 1, 2):
+                nxt[tj2] = nxt.get(tj2, 0) + c
+        counts = nxt
+    return dict(sorted(counts.items()))
 
 
 def mvec_doubled(n, two_s):

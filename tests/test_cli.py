@@ -187,6 +187,57 @@ class TestSiReport:
         assert doc["qfi_enhancement_high_T"] == pytest.approx(8.0, abs=1e-12)
         assert "microkelvin" in doc["note"]
 
+    @pytest.mark.parametrize(
+        "args,fmt,expected",
+        [
+            (
+                ("--n", "10", "--spin", "1/2", "--hbar-omega", "1.9e-24"), "csv",
+                "n = 10\nspin = 0.5\nhbar_omega_J = 1.9e-24\n"
+                "omega_rad_per_s = 18016790979.727085\n"
+                "temperature_unit_K = 0.1376164398047585\n"
+                "tcr_closed_form_K = 0.22118748074138342\n"
+                "tcr_numeric_K = 0.21543174327585188\n"
+                "qfi_enhancement_high_T = 4.0\nprecision_ratio_high_T = 0.5\n",
+            ),
+            (
+                ("--n", "7", "--spin", "3/2", "--hbar-omega", "1e-23"), "csv",
+                "n = 7\nspin = 1.5\nhbar_omega_J = 1e-23\n"
+                "omega_rad_per_s = 94825215682.77412\n"
+                "temperature_unit_K = 0.7242970516039919\n"
+                "tcr_closed_form_K = 2.1526777745015817\n"
+                "tcr_numeric_K = 2.076435324078481\n"
+                "qfi_enhancement_high_T = 4.6\nprecision_ratio_high_T = 0.4662524041201569\n",
+            ),
+            (
+                ("--n", "10", "--spin", "1/2", "--hbar-omega", "1.9e-24"), "json",
+                '{\n  "metadata": {\n    "version": "0.1.0",\n    "command": "si-report"\n  },\n'
+                '  "n": 10,\n  "spin": "0.5",\n  "hbar_omega_J": 1.9e-24,\n'
+                '  "omega_rad_per_s": 18016790979.727085,\n'
+                '  "temperature_unit_K": 0.1376164398047585,\n'
+                '  "tcr_closed_form_K": 0.22118748074138342,\n'
+                '  "tcr_numeric_K": 0.21543174327585188,\n'
+                '  "qfi_enhancement_high_T": 4.0,\n  "precision_ratio_high_T": 0.5\n}\n',
+            ),
+            (
+                ("--n", "7", "--spin", "3/2", "--hbar-omega", "1e-23"), "json",
+                '{\n  "metadata": {\n    "version": "0.1.0",\n    "command": "si-report"\n  },\n'
+                '  "n": 7,\n  "spin": "1.5",\n  "hbar_omega_J": 1e-23,\n'
+                '  "omega_rad_per_s": 94825215682.77412,\n'
+                '  "temperature_unit_K": 0.7242970516039919,\n'
+                '  "tcr_closed_form_K": 2.1526777745015817,\n'
+                '  "tcr_numeric_K": 2.076435324078481,\n'
+                '  "qfi_enhancement_high_T": 4.6,\n'
+                '  "precision_ratio_high_T": 0.4662524041201569\n}\n',
+            ),
+        ],
+    )
+    def test_golden_output(self, capsys, args, fmt, expected):
+        # the enhancement factor now comes from heat_capacity_ratio(ensemble, 0.0);
+        # the report must read exactly as when the CLI computed (2ns+2)/(2s+2) itself
+        rc, out, _ = run(capsys, "si-report", *args, "--format", fmt)
+        assert rc == 0
+        assert out == expected
+
     def test_single_spin_has_no_crossover(self, capsys):
         rc, out, _ = run(capsys, "si-report", "--n", "1", "--spin", "1/2", "--hbar-omega", "1e-24")
         assert rc == 0
@@ -335,6 +386,15 @@ class TestExitCodes:
             assert rc == 2
             assert out == ""
             assert "finite b0" in err
+
+    def test_non_finite_cycle_parameter(self, capsys):
+        rc, out, err = run(
+            capsys, "sweep", "--n", "3", "--spin", "1/2", "--quantity", "work",
+            "--lambda-h", "nan", "--bc", "2", "--delta-eta", "1e-3", "--grid", "1:2:2:lin",
+        )
+        assert rc == 2
+        assert out == ""
+        assert "finite" in err
 
     def test_zero_measurement_count(self, capsys):
         rc, _, err = run(

@@ -29,6 +29,13 @@ class TestOttoParams:
         with pytest.raises(ValueError):
             OttoParams(lambda_c=0.5, lambda_h=1.0, b_c=-1.0, b_h=0.5)
 
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize("field", ["lambda_c", "lambda_h", "b_c", "b_h"])
+    def test_rejects_non_finite(self, field, bad):
+        fields = {"lambda_c": 0.5, "lambda_h": 1.0, "b_c": 1.0, "b_h": 0.5, field: bad}
+        with pytest.raises(ValueError, match="finite"):
+            OttoParams(**fields)
+
     def test_efficiency_relations(self):
         p = OttoParams(lambda_c=0.6, lambda_h=1.0, b_c=1.0, b_h=0.5)
         assert p.efficiency == pytest.approx(0.4)

@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from spinheat.sectors import (
     BlockWeights,
@@ -81,6 +83,46 @@ class TestMultiplicities:
         for n, two_s in brute.all_small_ensembles(max_dim=128):
             mult, _ = brute.sector_data(n, two_s)
             assert sector_multiplicities(SpinEnsemble(n, two_s)).multiplicities == mult
+
+
+class TestMultiplicityProperties:
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    @given(
+        st.integers(1, 9).flatmap(
+            lambda two_s: st.tuples(st.integers(1, 400 // two_s), st.just(two_s))
+        )
+    )
+    def test_equals_coupling_loop(self, case):
+        n, two_s = case
+        table = sector_multiplicities(SpinEnsemble(n, two_s))
+        assert table.multiplicities == brute.coupling_multiplicities(n, two_s)
+
+    @settings(max_examples=40, deadline=None, derandomize=True)
+    @given(n=st.integers(1, 2000))
+    def test_spin_half_binomial_difference(self, n):
+        # l_J = C(n, n/2 - J) - C(n, n/2 - J - 1), with k = n/2 - J
+        expected = {
+            n - 2 * k: math.comb(n, k) - (math.comb(n, k - 1) if k else 0)
+            for k in range(n // 2 + 1)
+        }
+        assert sector_multiplicities(SpinEnsemble(n, 1)).multiplicities == expected
+
+    @settings(max_examples=25, deadline=None, derandomize=True)
+    @given(n=st.integers(1, 2000), two_s=st.integers(1, 9))
+    def test_sum_rule(self, n, two_s):
+        ens = SpinEnsemble(n, two_s)
+        table = sector_multiplicities(ens)
+        sector_multiplicities.cache_clear()  # tables at n ~ 2000 hold megabytes
+        assert table.dimension_total() == (two_s + 1) ** n
+        assert list(table.multiplicities) == sorted(table.multiplicities)
+        assert all(l > 0 for l in table.multiplicities.values())
+
+    def test_sum_rule_large(self):
+        ens = SpinEnsemble(4000, 3)
+        table = sector_multiplicities(ens)
+        sector_multiplicities.cache_clear()
+        assert table.dimension_total() == 4**4000
+        assert table.two_j_max == 12000
 
 
 class TestPartitionFunction:

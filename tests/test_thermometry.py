@@ -11,14 +11,13 @@ from spinheat.sectors import (
     symmetric_weights,
     thermal_product_weights,
 )
-from spinheat.thermo import block_energy, block_heat_capacity
+from spinheat.thermo import block_energy, block_heat_capacity, heat_capacity_ratio
 from spinheat.thermometry import (
     ZeroInformationError,
     block_moments,
     fisher_collective_projection,
     fisher_energy_measurement,
     min_relative_stddev,
-    precision_enhancement_ratio,
     qfi,
     qfi_moment_form,
 )
@@ -212,14 +211,14 @@ class TestPrecisionBound:
 
 class TestEnhancementRatio:
     def test_reported_factors(self):
-        assert precision_enhancement_ratio(SpinEnsemble(2, 7), 0.0) == pytest.approx(8 / 4.5)
-        assert precision_enhancement_ratio(SpinEnsemble(10, 7), 0.0) == pytest.approx(8.0)
-        assert precision_enhancement_ratio(SpinEnsemble(10, 1), 0.0) == pytest.approx(4.0)
+        assert heat_capacity_ratio(SpinEnsemble(2, 7), 0.0) == pytest.approx(8 / 4.5)
+        assert heat_capacity_ratio(SpinEnsemble(10, 7), 0.0) == pytest.approx(8.0)
+        assert heat_capacity_ratio(SpinEnsemble(10, 1), 0.0) == pytest.approx(4.0)
 
     def test_beats_one_only_above_crossover(self):
         from spinheat.thermo import critical_temperature_numeric
 
         ens = SpinEnsemble(5, 1)
         b_cr = 1.0 / critical_temperature_numeric(ens)
-        assert precision_enhancement_ratio(ens, 0.8 * b_cr) > 1.0
-        assert precision_enhancement_ratio(ens, 1.2 * b_cr) < 1.0
+        assert heat_capacity_ratio(ens, 0.8 * b_cr) > 1.0
+        assert heat_capacity_ratio(ens, 1.2 * b_cr) < 1.0

@@ -12,6 +12,7 @@ import configparser
 import json
 import math
 import sys
+from functools import partial
 
 import numpy as np
 
@@ -41,29 +42,54 @@ from . import oracle
 K_B = 1.380649e-23  # J/K
 HBAR = 1.054571817e-34  # J*s
 
-_QUANTITIES = (
-    "heat-capacity",
-    "hc-ratio",
-    "precision",
-    "precision-ratio",
-    "work",
-    "power",
-    "power-ratio",
-)
+_T = "kT_over_hw"
+_TH = "kTh_over_hw_lambda_h"  # work and power take theta_h = lambda_h b_h
 
-# figure presets: quantity, (n, two_s) curves, default grid (lo, hi, points, kind)
+
+def _fisher(c: float, x: float) -> float:
+    """Fisher information per measurement, which equals the heat capacity c; must not vanish."""
+    if c <= 0.0:
+        raise ArithmeticError(f"heat capacity vanished at kT/hw = {x}; precision bound diverges")
+    return c
+
+
+def _ratio(num: float, den: float, limit: float) -> float:
+    return limit if den == 0.0 else num / den
+
+
+# Every quantity is a function of the collective and independent capacities at
+# one grid point x, b = 1/x: quantity -> (x column, value columns,
+# values(c_col, c_ind, n, b, x, nu)).
+_QUANTITIES = {
+    "heat-capacity": (_T, ("C_col_over_kB", "C_ind_over_kB"),
+                      lambda c_col, c_ind, n, b, x, nu: [c_col, c_ind]),
+    "hc-ratio": (_T, ("hc_ratio",),
+                 lambda c_col, c_ind, n, b, x, nu: [_ratio(c_col, c_ind, 1.0 / n)]),
+    "precision": (_T, ("D_col", "D_ind"), lambda c_col, c_ind, n, b, x, nu: [
+        1.0 / math.sqrt(nu * _fisher(c_col, x)), 1.0 / math.sqrt(nu * _fisher(c_ind, x))]),
+    "precision-ratio": (_T, ("precision_ratio",), lambda c_col, c_ind, n, b, x, nu: [
+        math.sqrt(_fisher(c_ind, x) / _fisher(c_col, x))]),
+    "work": (_TH, ("w_col", "w_ind"),
+             lambda c_col, c_ind, n, b, x, nu: [c_col / b**2, c_ind / b**2]),
+    "power": (_TH, ("p_col", "p_ind"),
+              lambda c_col, c_ind, n, b, x, nu: [n * c_col / b**2, c_ind / b**2]),
+    "power-ratio": (_TH, ("power_ratio",),
+                    lambda c_col, c_ind, n, b, x, nu: [_ratio(n * c_col, c_ind, 1.0)]),
+}
+
+# figure presets: quantity, (n, two_s) curves, default grid spec
 _FIG_SPINS_N2 = ((2, 1), (2, 3), (2, 9))
 _FIG_SIZES = ((2, 1), (5, 1), (10, 1), (100, 1), (100, 3))
-FIGURES: dict[str, tuple[str, tuple[tuple[int, int], ...], tuple[float, float, int, str]]] = {
-    "1a": ("heat-capacity", _FIG_SPINS_N2, (0.01, 100.0, 241, "log")),
-    "1b": ("hc-ratio", _FIG_SPINS_N2, (0.025, 1000.0, 241, "log")),
-    "2a": ("heat-capacity", _FIG_SIZES, (0.01, 100.0, 241, "log")),
-    "2b": ("hc-ratio", _FIG_SIZES, (0.025, 1000.0, 241, "log")),
-    "3a": ("precision", _FIG_SIZES, (0.01, 100.0, 241, "log")),
-    "3b": ("precision-ratio", _FIG_SIZES, (0.01, 100.0, 241, "log")),
-    "4": ("work", _FIG_SIZES, (0.01, 100.0, 241, "log")),
-    "5a": ("power", _FIG_SIZES, (0.01, 100.0, 241, "log")),
-    "5b": ("power-ratio", _FIG_SIZES, (1.0 / 30.0, 15000.0, 241, "log")),
+FIGURES: dict[str, tuple[str, tuple[tuple[int, int], ...], str]] = {
+    "1a": ("heat-capacity", _FIG_SPINS_N2, "0.01:100.0:241:log"),
+    "1b": ("hc-ratio", _FIG_SPINS_N2, "0.025:1000.0:241:log"),
+    "2a": ("heat-capacity", _FIG_SIZES, "0.01:100.0:241:log"),
+    "2b": ("hc-ratio", _FIG_SIZES, "0.025:1000.0:241:log"),
+    "3a": ("precision", _FIG_SIZES, "0.01:100.0:241:log"),
+    "3b": ("precision-ratio", _FIG_SIZES, "0.01:100.0:241:log"),
+    "4": ("work", _FIG_SIZES, "0.01:100.0:241:log"),
+    "5a": ("power", _FIG_SIZES, "0.01:100.0:241:log"),
+    "5b": ("power-ratio", _FIG_SIZES, f"{1.0 / 30.0}:15000.0:241:log"),
 }
 
 
@@ -146,7 +172,7 @@ def load_weights_file(path: str, ensemble: SpinEnsemble) -> BlockWeights:
     if not raw:
         raise CliError(f"weights file {path} has no entries")
     total = sum(raw.values())
-    if abs(total - 1.0) > 1e-6:
+    if not abs(total - 1.0) <= 1e-6:  # written so that a NaN total fails too
         raise CliError(f"weights in {path} sum to {total!r}, expected 1")
     try:
         return BlockWeights(ensemble, {tj: p / total for tj, p in raw.items()})
@@ -154,17 +180,23 @@ def load_weights_file(path: str, ensemble: SpinEnsemble) -> BlockWeights:
         raise CliError(str(exc)) from None
 
 
+def _parse_b0(text: str, what: str) -> float:
+    """Finite initial inverse temperature b0 of a thermal=<b0> or gibbs:<b0> value."""
+    try:
+        b0 = float(text)
+    except ValueError:
+        raise CliError(f"bad {what}") from None
+    if not math.isfinite(b0):
+        raise CliError(f"{what} needs a finite b0")
+    return b0
+
+
 def resolve_weights(spec: str, ensemble: SpinEnsemble) -> tuple[BlockWeights, str]:
     """--weights value -> (weights, provenance tag)."""
     if spec == "symmetric":
         return symmetric_weights(ensemble), "symmetric"
     if spec.startswith("thermal="):
-        try:
-            b0 = float(spec.split("=", 1)[1])
-        except ValueError:
-            raise CliError(f"bad thermal weights spec {spec!r}") from None
-        if not math.isfinite(b0):
-            raise CliError(f"thermal weights need a finite b0, got {spec!r}")
+        b0 = _parse_b0(spec.split("=", 1)[1], f"thermal weights spec {spec!r}")
         return thermal_product_weights(ensemble, b0), spec
     if spec.startswith("file="):
         path = spec.split("=", 1)[1]
@@ -176,6 +208,15 @@ def _fmt(value) -> str:
     if isinstance(value, float):
         return repr(float(value))
     return str(value)
+
+
+def _write(text: str, out: str | None) -> None:
+    """Write text to the path `out`, or to stdout when it is not given."""
+    if out:
+        with open(out, "w") as fh:
+            fh.write(text)
+    else:
+        sys.stdout.write(text)
 
 
 def emit_table(columns, rows, meta, args, trailing: dict[str, float] | None = None) -> None:
@@ -191,75 +232,44 @@ def emit_table(columns, rows, meta, args, trailing: dict[str, float] | None = No
         if trailing:
             lines.extend(f"# {k} = {_fmt(v)}" for k, v in trailing.items())
         text = "\n".join(lines) + "\n"
-    if args.out:
-        with open(args.out, "w") as fh:
-            fh.write(text)
-    else:
-        sys.stdout.write(text)
+    _write(text, args.out)
 
 
 def _spin_label(two_s: int) -> str:
     return f"{0.5 * two_s:g}"
 
 
-def _ratio(num: float, den: float, limit: float) -> float:
-    return limit if den == 0.0 else num / den
+def _rows(quantity, curves, grid, nu, extra=None) -> list[list[float]]:
+    """One row per grid point x: x, each (ensemble, weights) curve's columns, then extra(x).
 
-
-def _sweep_values(quantity, ensemble, weights, x, nu) -> list[float]:
-    """Column values for one grid point; x is kT/hw or kT_h/(hw*lambda_h)."""
-    n = ensemble.n
-    if quantity in ("heat-capacity", "hc-ratio", "precision", "precision-ratio"):
+    C_col and C_ind are computed once per curve and point, at b = 1/x.
+    """
+    values = _QUANTITIES[quantity][2]
+    rows = []
+    for x in grid:
+        x = float(x)
         b = 1.0 / x
-        c_col = collective_heat_capacity(weights, b).c_over_kb
-        c_ind = independent_heat_capacity(ensemble, b).c_over_kb
-        if quantity == "heat-capacity":
-            return [c_col, c_ind]
-        if quantity == "hc-ratio":
-            return [_ratio(c_col, c_ind, 1.0 / n)]
-        if c_col <= 0.0 or c_ind <= 0.0:
-            raise ArithmeticError(f"heat capacity vanished at kT/hw = {x}; precision bound diverges")
-        if quantity == "precision":
-            return [1.0 / math.sqrt(nu * c_col), 1.0 / math.sqrt(nu * c_ind)]
-        return [math.sqrt(c_ind / c_col)]
-    theta = 1.0 / x
-    c_col = collective_heat_capacity(weights, theta).c_over_kb
-    c_ind = independent_heat_capacity(ensemble, theta).c_over_kb
-    if quantity == "work":
-        return [c_col / theta**2, c_ind / theta**2]
-    if quantity == "power":
-        return [n * c_col / theta**2, c_ind / theta**2]
-    return [_ratio(n * c_col, c_ind, 1.0)]  # power-ratio
+        row = [x]
+        for ensemble, weights in curves:
+            c_col = collective_heat_capacity(weights, b).c_over_kb
+            c_ind = independent_heat_capacity(ensemble, b).c_over_kb
+            row += values(c_col, c_ind, ensemble.n, b, x, nu)
+        if extra is not None:
+            row += extra(x)
+        rows.append(row)
+    return rows
 
 
-def _column_names(quantity, suffix="") -> list[str]:
-    base = {
-        "heat-capacity": ["C_col_over_kB", "C_ind_over_kB"],
-        "hc-ratio": ["hc_ratio"],
-        "precision": ["D_col", "D_ind"],
-        "precision-ratio": ["precision_ratio"],
-        "work": ["w_col", "w_ind"],
-        "power": ["p_col", "p_ind"],
-        "power-ratio": ["power_ratio"],
-    }[quantity]
-    return [name + suffix for name in base]
+def _exact_cycle_columns(args) -> list[str]:
+    """Names of the exact-cycle columns a work or power sweep adds; none without cycle flags."""
+    if args.quantity not in ("work", "power") or args.lambda_h is None or args.bc is None:
+        return []
+    if args.lambda_c is None and args.delta_eta is None:
+        return []
+    return ["W_col_exact", "W_ind_exact"] if args.quantity == "work" else ["P_col_exact", "P_ind_exact"]
 
 
-def _x_name(quantity) -> str:
-    if quantity in ("work", "power", "power-ratio"):
-        return "kTh_over_hw_lambda_h"
-    return "kT_over_hw"
-
-
-def _exact_cycle_columns(args, quantity) -> bool:
-    if quantity not in ("work", "power"):
-        return False
-    if args.lambda_h is None or args.bc is None:
-        return False
-    return args.lambda_c is not None or args.delta_eta is not None
-
-
-def _exact_cycle_values(args, ensemble, weights, x, quantity) -> list[float]:
+def _exact_cycle_values(args, ensemble, weights, x) -> list[float]:
     b_h = 1.0 / (x * args.lambda_h)
     if args.lambda_c is not None:
         lambda_c = args.lambda_c
@@ -268,7 +278,7 @@ def _exact_cycle_values(args, ensemble, weights, x, quantity) -> list[float]:
     params = OttoParams(lambda_c=lambda_c, lambda_h=args.lambda_h, b_c=args.bc, b_h=b_h)
     w_col = cycle_exact(weights, params, "collective").work_extracted
     w_ind = cycle_exact(weights, params, "independent").work_extracted
-    if quantity == "power":
+    if args.quantity == "power":
         return [ensemble.n * w_col / args.tau_ind, w_ind / args.tau_ind]
     return [w_col, w_ind]
 
@@ -276,23 +286,15 @@ def _exact_cycle_values(args, ensemble, weights, x, quantity) -> list[float]:
 def cmd_sweep(args) -> None:
     if args.nu < 1:
         raise CliError(f"--nu must be a measurement count >= 1, got {args.nu}")
+    if not (math.isfinite(args.tau_ind) and args.tau_ind > 0.0):
+        raise CliError(f"--tau-ind must be a finite cycle time > 0, got {args.tau_ind}")
     ensemble = SpinEnsemble(args.n, parse_spin(args.spin))
     weights, provenance = resolve_weights(args.weights, ensemble)
     grid = parse_grid(args.grid)
-    columns = [_x_name(args.quantity)] + _column_names(args.quantity)
-    exact = _exact_cycle_columns(args, args.quantity)
-    if exact:
-        columns += (
-            ["W_col_exact", "W_ind_exact"]
-            if args.quantity == "work"
-            else ["P_col_exact", "P_ind_exact"]
-        )
-    rows = []
-    for x in grid:
-        row = [float(x)] + _sweep_values(args.quantity, ensemble, weights, float(x), args.nu)
-        if exact:
-            row += _exact_cycle_values(args, ensemble, weights, float(x), args.quantity)
-        rows.append(row)
+    x_name, names, _ = _QUANTITIES[args.quantity]
+    exact = _exact_cycle_columns(args)
+    extra = partial(_exact_cycle_values, args, ensemble, weights) if exact else None
+    rows = _rows(args.quantity, [(ensemble, weights)], grid, args.nu, extra)
     meta = {
         "version": __version__,
         "command": "sweep",
@@ -302,30 +304,19 @@ def cmd_sweep(args) -> None:
         "weights": provenance,
         "grid": args.grid,
     }
-    emit_table(columns, rows, meta, args)
+    emit_table([x_name, *names, *exact], rows, meta, args)
 
 
 def cmd_figure(args) -> None:
     quantity, curves, default_grid = FIGURES[args.which]
-    if args.grid is not None:
-        grid = parse_grid(args.grid)
-        grid_label = args.grid
-    else:
-        lo, hi, points, kind = default_grid
-        grid = np.geomspace(lo, hi, points) if kind == "log" else np.linspace(lo, hi, points)
-        grid_label = f"{lo}:{hi}:{points}:{kind}"
-    columns = [_x_name(quantity)]
-    per_curve = []
+    grid_label = default_grid if args.grid is None else args.grid
+    grid = parse_grid(grid_label)
+    x_name, names, _ = _QUANTITIES[quantity]
+    columns = [x_name]
     for n, two_s in curves:
-        ens = SpinEnsemble(n, two_s)
-        per_curve.append((ens, symmetric_weights(ens)))
-        columns += _column_names(quantity, f"_n{n}_s{_spin_label(two_s)}")
-    rows = []
-    for x in grid:
-        row = [float(x)]
-        for ens, w in per_curve:
-            row += _sweep_values(quantity, ens, w, float(x), 1)
-        rows.append(row)
+        columns += [f"{name}_n{n}_s{_spin_label(two_s)}" for name in names]
+    ensembles = [SpinEnsemble(n, two_s) for n, two_s in curves]
+    rows = _rows(quantity, [(ens, symmetric_weights(ens)) for ens in ensembles], grid, 1)
     meta = {
         "version": __version__,
         "command": f"figure {args.which}",
@@ -366,7 +357,7 @@ _CESIUM_NOTE = (
 
 
 def cmd_si_report(args) -> None:
-    if args.hbar_omega <= 0.0:
+    if not (math.isfinite(args.hbar_omega) and args.hbar_omega > 0.0):
         raise CliError("--hbar-omega must be a positive energy in joules")
     ensemble = SpinEnsemble(args.n, parse_spin(args.spin))
     t_unit = args.hbar_omega / K_B
@@ -393,11 +384,7 @@ def cmd_si_report(args) -> None:
         text = json.dumps(payload, indent=2) + "\n"
     else:
         text = "".join(f"{k} = {v}\n" for k, v in fields.items())
-    if args.out:
-        with open(args.out, "w") as fh:
-            fh.write(text)
-    else:
-        sys.stdout.write(text)
+    _write(text, args.out)
 
 
 def _initial_state(args, weights, provenance) -> PopulationState:
@@ -411,11 +398,7 @@ def _initial_state(args, weights, provenance) -> PopulationState:
     if init == "uniform":
         return uniform_state(weights)
     if init.startswith("gibbs:"):
-        try:
-            b0 = float(init.split(":", 1)[1])
-        except ValueError:
-            raise CliError(f"bad --init value {init!r}") from None
-        return gibbs_state(weights, b0)
+        return gibbs_state(weights, _parse_b0(init.split(":", 1)[1], f"--init value {init!r}"))
     raise CliError(f"--init must be auto, top, bottom, uniform or gibbs:<b0>, got {init!r}")
 
 
@@ -443,21 +426,20 @@ def cmd_dynamics(args) -> None:
     columns = ["t_in_inv_G", "energy_over_hw", "tv_to_steady"]
     columns += [f"pop_2J{tj}_2m{tm}" for tj, tm in pop_keys]
 
+    # (energy, sector populations) at each time; each route keeps its own energy
     if args.oracle:
         rho0 = oracle.state_from_populations(state0, ensemble)
-        rows = []
-        for t, rho in zip(times, oracle.trajectory(rho0, rates, times)):
-            pops = oracle.sector_populations(rho)
-            row = [float(t), rho.energy(), pops.tv_distance(target)]
-            row += [float(pops.blocks[tj][(tm + tj) // 2]) for tj, tm in pop_keys]
-            rows.append(row)
+        states = (
+            (rho.energy(), oracle.sector_populations(rho))
+            for rho in oracle.trajectory(rho0, rates, times)
+        )
     else:
-        rows = []
-        for t in times:
-            st = evolve(state0, gen, float(t))
-            row = [float(t), st.energy(), st.tv_distance(target)]
-            row += [float(st.blocks[tj][(tm + tj) // 2]) for tj, tm in pop_keys]
-            rows.append(row)
+        states = ((st.energy(), st) for st in (evolve(state0, gen, float(t)) for t in times))
+    rows = []
+    for t, (energy, pops) in zip(times, states):
+        row = [float(t), energy, pops.tv_distance(target)]
+        row += [float(pops.blocks[tj][(tm + tj) // 2]) for tj, tm in pop_keys]
+        rows.append(row)
 
     trailing = None
     if times.size:
@@ -502,7 +484,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("sweep", help="sweep one quantity over a temperature grid")
     _add_ensemble(p)
-    p.add_argument("--quantity", choices=_QUANTITIES, required=True)
+    p.add_argument("--quantity", choices=tuple(_QUANTITIES), required=True)
     p.add_argument("--weights", default="symmetric", help="symmetric | thermal=<b0> | file=<path>")
     p.add_argument("--grid", required=True, help="lo:hi:points:log|lin over kT/hw (or kT_h/(hw*lambda_h))")
     p.add_argument("--nu", type=int, default=1, help="measurement count for precision bounds")

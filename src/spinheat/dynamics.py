@@ -39,7 +39,11 @@ __all__ = [
     "transition_rate_range",
 ]
 
-# block size above which dense expm is traded for Krylov semigroup action
+# Block size above which `evolve` trades dense expm for a Krylov semigroup
+# action. For one propagation Krylov measured faster or even above it: at 1001
+# levels, b = 2, one BLAS thread, 0.12 / 1.2 / 4.3 s of CPU against 2.1 / 2.3 /
+# 3.9 s dense for t*gap = 0.1 / 1 / 5. `relaxation_time` propagates many times
+# and keeps its dense chain at every size.
 _DENSE_EXPM_CAP = 512
 
 # relative width of the final relaxation-time bracket
@@ -135,10 +139,10 @@ class PopulationState:
         for tj, p in self.blocks.items():
             if len(p) != tj + 1:
                 raise ValueError(f"sector two_j={tj} needs {tj + 1} levels, got {len(p)}")
-            if np.min(p) < -1e-12:
-                raise ValueError(f"negative population in sector two_j={tj}")
+            if not np.min(p) >= -1e-12:  # NaN fails here and in the sum check below
+                raise ValueError(f"negative or NaN population in sector two_j={tj}")
             total += float(np.sum(p))
-        if abs(total - 1.0) > 1e-10:
+        if not abs(total - 1.0) <= 1e-10:
             raise ValueError(f"populations must sum to 1, got {total!r}")
 
     def sector_masses(self) -> dict[int, float]:
@@ -272,9 +276,10 @@ class _PropagatorChain:
     """Propagators exp(A_J h 2^k) of several ladders, by integer level k.
 
     Only the lowest level comes from a dense expm; each level above it is
-    the square of the one below (the semigroup property). Blocks above
-    _DENSE_EXPM_CAP are never formed densely and take a Krylov action per
-    step instead, as in `evolve`.
+    the square of the one below (the semigroup property). Every block is
+    held densely, whatever its size: at 1001 levels (b = 2) that made
+    relaxation_time about 12x faster than a Krylov action per step, for
+    about twice the peak memory.
     """
 
     def __init__(self, blocks: dict[int, np.ndarray], h: float, floor: int):
@@ -284,7 +289,7 @@ class _PropagatorChain:
 
     def _expm(self, k: int) -> dict[int, np.ndarray]:
         t = self.h * 2.0**k
-        return {tj: expm(a * t) for tj, a in self.blocks.items() if a.shape[0] <= _DENSE_EXPM_CAP}
+        return {tj: expm(a * t) for tj, a in self.blocks.items()}
 
     def lower(self, floor: int) -> None:
         """Make `floor` (below the current one) the lowest level, with one more dense expm."""
@@ -300,16 +305,8 @@ class _PropagatorChain:
 
     def step(self, k: int, blocks: dict[int, np.ndarray]) -> dict[int, np.ndarray]:
         """Populations a time h 2^k after `blocks`; needs k >= floor."""
-        dense = self._level(k)
-        out = {}
-        for tj, p in blocks.items():
-            e = dense.get(tj)
-            if e is None:
-                q = expm_multiply(self.blocks[tj] * (self.h * 2.0**k), p)
-            else:
-                q = e @ p
-            out[tj] = np.clip(q, 0.0, None)
-        return out
+        level = self._level(k)
+        return {tj: np.clip(level[tj] @ p, 0.0, None) for tj, p in blocks.items()}
 
 
 def relaxation_time(
@@ -330,10 +327,11 @@ def relaxation_time(
     bracket end by exp(A h 2^k): one matrix-vector product per sector from a
     chain of propagators built by one dense expm at the finest level the
     resolution can need, h 2^floor(log2 1e-3), and repeated squaring above
-    it. Squaring suits these stiff ladders: a Krylov action per probe
-    (Al-Mohy & Higham 2011) measured 35-100x slower on ladders of 25 to 71
-    levels. A crossing before h can need finer steps; each finer floor then
-    costs one more expm, placed at the finest step the bracket still allows.
+    it, for every ladder size. Squaring suits these stiff ladders: a Krylov
+    action per probe (Al-Mohy & Higham 2011) measured 35-100x slower on
+    ladders of 25 to 71 levels, and about 12x slower at 1001. A crossing
+    before h can need finer steps; each finer floor then costs one more
+    expm, placed at the finest step the bracket still allows.
     """
     if not 0.0 < epsilon < 1.0:
         raise ValueError(f"epsilon must be in (0, 1), got {epsilon}")

@@ -261,7 +261,6 @@ def trajectory(
 _SUPEROP_DIM_CAP = 32
 
 
-@lru_cache(maxsize=None)
 def _liouvillian_matrix(ensemble: SpinEnsemble, rates: RatePair) -> np.ndarray:
     """Dense superoperator of the collective dissipator on row-major vec(rho)."""
     _, jp, jm = collective_operators(ensemble)

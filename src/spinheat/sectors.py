@@ -155,10 +155,10 @@ class BlockWeights:
                 raise ValueError(
                     f"two_j={tj} is not a sector of n={ens.n}, two_s={ens.two_s}"
                 )
-            if p < 0.0:
-                raise ValueError(f"negative sector weight p[{tj}]={p}")
+            if not p >= 0.0:  # NaN fails here and in the sum check below
+                raise ValueError(f"negative or NaN sector weight p[{tj}]={p}")
             total += p
-        if abs(total - 1.0) > 1e-9:
+        if not abs(total - 1.0) <= 1e-9:
             raise ValueError(f"sector weights must sum to 1, got {total!r}")
 
     def sorted_items(self) -> list[tuple[int, float]]:

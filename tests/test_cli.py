@@ -1,3 +1,4 @@
+import hashlib
 import json
 
 import pytest
@@ -19,6 +20,95 @@ def parse_csv(text):
     header = lines[0].split(",")
     rows = [[float(v) for v in ln.split(",")] for ln in lines[1:]]
     return header, rows
+
+
+_SWEEP = ("--n", "37", "--spin", "3/2", "--weights", "thermal=0.5", "--grid", "0.03:80:33:log")
+_DELTA_ETA = ("--lambda-h", "1.0", "--bc", "1.5", "--delta-eta", "1e-3")
+_LAMBDA_C = ("--lambda-h", "1.0", "--lambda-c", "0.8", "--bc", "1.5", "--tau-ind", "1.7")
+_DYNAMICS = ("dynamics", "--n", "4", "--spin", "1/2", "--weights", "thermal=0.5", "--bh", "2",
+             "--grid", "0:3:7:lin", "--populations")
+
+# SHA-256 of stdout for each invocation, as the CLI printed it before its
+# quantity table, row builder and output writer were merged: any changed byte
+# in a figure preset, sweep column, trailing line or JSON document shows here.
+GOLDEN_DIGESTS = {
+    ("figure", "1a"):
+        "49827d3618576ac10005daa20bc376a45bbf1a0fcbbec24dae15033726dbb16f",
+    ("figure", "1a", "--format", "json"):
+        "87f981cbe693289cf77d1c2d2013672af782ccd263607249e1cad34a10c206a2",
+    ("figure", "1b"):
+        "597d662c667fbbac646cf08b2600b48995b27535328eca4848a92d39b21eeae1",
+    ("figure", "1b", "--format", "json"):
+        "f5061f07de2ea0594bf0b14e73fa071c7f313b3946c24087232d9a2724e52cc5",
+    ("figure", "2a"):
+        "74f1594118caa120de48664bd5ae3a7f09f9abfc8a17de61ec7759a856cfedfa",
+    ("figure", "2a", "--format", "json"):
+        "61692d4eaee19f24c12fdbdb81e7d850d14eec5075aa573a144c4becd4857b54",
+    ("figure", "2b"):
+        "4bb62897b0f15af25143ec1ca60ea15c45a0ea385310dfc96f71e785336ed07c",
+    ("figure", "2b", "--format", "json"):
+        "c5f5f5639488d7ab01f8946779f7500a31b9de46b18b2ca257b23551673c24b8",
+    ("figure", "3a"):
+        "e22f9ae2188522e9dc28da10412bf8128014a139a2c1826b0f3cd97413a9e06d",
+    ("figure", "3a", "--format", "json"):
+        "3b664ed3035272120c5f25fff5898d4041ae8c1bb89c0c007aceef3c6318350c",
+    ("figure", "3b"):
+        "db3a120a110a1718870d2f206a005e0a1d3397825d2efd5e092b8175d6b0638b",
+    ("figure", "3b", "--format", "json"):
+        "1fef26c4801de135ad8d32a5fab955db940ed53fd899814fb54afb4951a60722",
+    ("figure", "4"):
+        "1e363c7bc4e9e11d6953c5daf8fc87ab36011d06b26c1ad564beda6c82d52ca8",
+    ("figure", "4", "--format", "json"):
+        "6429b2350c1dab3e58a2b0d1a8b9c53c6b729c7c409ee909219c7b347f1496ac",
+    ("figure", "5a"):
+        "75b238696bf958d50cc418fca1b75932c4f74958af802875fe2ba8fdd62c6b5b",
+    ("figure", "5a", "--format", "json"):
+        "04e802848d83aeb33252ed9cdb0571b8d6d221dc554f573184dd80a0c5816f93",
+    ("figure", "5b"):
+        "8ed131f735ec9f5eee46039f7ac76c9d37fe3f2389148f08fdda4f76efb10c9d",
+    ("figure", "5b", "--format", "json"):
+        "38afc88ed5a368c6dbd7d0b86a36d0e8537cca19cbb40a107be352caa4f4b90d",
+    ("figure", "3a", "--grid", "0.5:3:7:lin"):
+        "ca48980b7640b3ae5a986a6c305d41cd2ac9efb23a6cc5eeea02677057555517",
+    ("sweep", "--quantity", "heat-capacity") + _SWEEP:
+        "43d69c4a42f33487e5a879fa9b8b348fe50db5b59553f49bab110935cd3aff5f",
+    ("sweep", "--quantity", "hc-ratio") + _SWEEP:
+        "cd33eef09001091726dde3801bd58684032d13868ba49afeab136293898a6a83",
+    ("sweep", "--quantity", "precision") + _SWEEP:
+        "64a07814729739fa2cbd21660dad623253c21fbd6e4429f3d5e3abc08ff5690b",
+    ("sweep", "--quantity", "precision-ratio") + _SWEEP:
+        "decd1479e6ae520fbf22a6bb9e04643b5c3eb4251f37f6fda9d34ba64ae051f4",
+    ("sweep", "--quantity", "work") + _SWEEP:
+        "ea239bf21873963fd658f2f14f505e185a086b0d39b5a0d2d5f764f19248b946",
+    ("sweep", "--quantity", "power") + _SWEEP:
+        "7852ce7d4284acc8d511b67cb11f150159858347a866f3e194adcade7a0166d0",
+    ("sweep", "--quantity", "power-ratio") + _SWEEP:
+        "8096475c1fad58d1d2dbea392699ab9a1e996e93fff9c87ee399b9c674a3322e",
+    ("sweep", "--quantity", "precision", "--nu", "7") + _SWEEP:
+        "5b0073a66b4562b213a6762c3c29d78a216d8f392ec556aecc62036126da9ccf",
+    ("sweep", "--quantity", "work") + _SWEEP + _DELTA_ETA:
+        "83c10dcbab1666f6a9cb2e2ab9703f470f6b801507e85b0cab752850ab8aecf8",
+    ("sweep", "--quantity", "work") + _SWEEP + _LAMBDA_C:
+        "4890c26a89fb731e8b310b8f61999973f64b99df5e35d14f9d90c8eac783835f",
+    ("sweep", "--quantity", "power") + _SWEEP + _DELTA_ETA:
+        "a3f030d786815ad0e2e4367786c9e993568c3a6ddf6daa2a759053ae312f74ce",
+    ("sweep", "--quantity", "power") + _SWEEP + _LAMBDA_C:
+        "21eda1a46840ea943b3cb230b40771e76fd7b7ac998254f9a6ea156e97863e76",
+    ("tcr", "--spin", "1/2", "--grid", "2:300:7:log"):
+        "ae073f3dfae6a2af882efc6b55b1e474d795ad041c96e412cb6314784b6f720b",
+    _DYNAMICS:
+        "3ab3775bb6aab4e9182c6ba483b2d27556b25947d10e303fe26412255900407d",
+    _DYNAMICS + ("--oracle",):
+        "1506fc5465323b314d9c3bf139d030cdb8716cba24a691475a1450407fdfcf21",
+}
+
+
+class TestGoldenDigests:
+    @pytest.mark.parametrize("argv", sorted(GOLDEN_DIGESTS), ids=" ".join)
+    def test_stdout_digest(self, capsys, argv):
+        rc, out, _ = run(capsys, *argv)
+        assert rc == 0
+        assert hashlib.sha256(out.encode()).hexdigest() == GOLDEN_DIGESTS[argv]
 
 
 class TestParsers:
@@ -379,13 +469,15 @@ class TestExitCodes:
 
     def test_non_finite_thermal_weights(self, capsys):
         for b0 in ("nan", "inf", "-inf"):
-            rc, out, err = run(
-                capsys, "sweep", "--n", "3", "--spin", "1/2", "--quantity", "heat-capacity",
-                "--weights", f"thermal={b0}", "--grid", "1:2:2:lin",
-            )
-            assert rc == 2
-            assert out == ""
-            assert "finite b0" in err
+            for argv in (
+                ("sweep", "--quantity", "heat-capacity", "--weights", f"thermal={b0}",
+                 "--grid", "1:2:2:lin"),
+                ("dynamics", "--bh", "1", "--init", f"gibbs:{b0}", "--grid", "0:1:2:lin"),
+            ):
+                rc, out, err = run(capsys, *argv, "--n", "3", "--spin", "1/2")
+                assert rc == 2
+                assert out == ""
+                assert "finite b0" in err
 
     def test_non_finite_cycle_parameter(self, capsys):
         rc, out, err = run(
@@ -417,10 +509,32 @@ class TestExitCodes:
 
     def test_unnormalized_weights_file(self, capsys, tmp_path):
         path = tmp_path / "w.txt"
-        path.write_text("0 0.5\n2 0.9\n")
-        rc, _, err = run(
-            capsys, "sweep", "--n", "2", "--spin", "1/2", "--quantity", "hc-ratio",
-            "--weights", f"file={path}", "--grid", "1:2:2:lin",
-        )
-        assert rc == 2
-        assert "sum to" in err
+        for text in ("0 0.5\n2 0.9\n", "2 nan\n0 0.5\n"):
+            path.write_text(text)
+            rc, out, err = run(
+                capsys, "sweep", "--n", "2", "--spin", "1/2", "--quantity", "hc-ratio",
+                "--weights", f"file={path}", "--grid", "1:2:2:lin",
+            )
+            assert rc == 2
+            assert out == ""
+            assert "sum to" in err
+
+    def test_bad_cycle_time(self, capsys):
+        for tau in ("0", "nan", "-1", "inf"):
+            rc, out, err = run(
+                capsys, "sweep", "--n", "3", "--spin", "1/2", "--quantity", "power",
+                "--lambda-h", "1", "--bc", "2", "--delta-eta", "1e-3", "--tau-ind", tau,
+                "--grid", "1:2:2:lin",
+            )
+            assert rc == 2
+            assert out == ""
+            assert "--tau-ind" in err
+
+    def test_bad_level_splitting(self, capsys):
+        for energy in ("0", "-1e-24", "nan", "inf"):
+            rc, out, err = run(
+                capsys, "si-report", "--n", "3", "--spin", "1/2", "--hbar-omega", energy,
+            )
+            assert rc == 2
+            assert out == ""
+            assert "--hbar-omega" in err

@@ -7,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from spinheat.dynamics import (
+    _DENSE_EXPM_CAP,
     ConvergenceError,
     PopulationState,
     RatePair,
@@ -96,6 +97,10 @@ class TestPopulationState:
             PopulationState({2: np.array([0.2, 0.2, 0.2])})
         with pytest.raises(ValueError, match="negative"):
             PopulationState({2: np.array([-0.2, 0.6, 0.6])})
+        with pytest.raises(ValueError, match="NaN"):
+            PopulationState({2: np.array([math.nan, 0.5, 0.5])})
+        with pytest.raises(ValueError, match="sum to 1"):
+            PopulationState({2: np.array([math.inf, 0.5, 0.5])})
 
     def test_constructors_and_energy(self):
         w = thermal_product_weights(SpinEnsemble(3, 1), 1.0)
@@ -244,7 +249,11 @@ def from_scratch_relaxation(state0, gen, epsilon):
 def assert_matches_from_scratch(state0, gen, epsilon=1e-3):
     res = relaxation_time(state0, gen, epsilon)
     assert res.time == pytest.approx(from_scratch_relaxation(state0, gen, epsilon), rel=1.1e-3)
-    # the reported time brackets epsilon when read with evolve from t = 0
+    return assert_brackets(state0, gen, res, epsilon)
+
+
+def assert_brackets(state0, gen, res, epsilon=1e-3):
+    """The reported time brackets epsilon when read with evolve from t = 0."""
     target = stationary_state(state0, gen.rates)
     assert evolve(state0, gen, res.time).tv_distance(target) < epsilon + 1e-9
     if res.time > 0.0:
@@ -310,6 +319,15 @@ class TestTridiagonalPaths:
         state0 = PopulationState({n: alpha * bottom.blocks[n] + (1.0 - alpha) * target.blocks[n]})
         res = assert_matches_from_scratch(state0, collective_generator(ens, rates))
         assert 0.0 < res.time * res.spectral_gap < 1e-3
+
+    def test_relaxation_above_dense_expm_cap(self):
+        # evolve reads this ladder through its Krylov action; the relaxation
+        # chain holds it densely
+        two_j = 520
+        assert two_j + 1 > _DENSE_EXPM_CAP
+        gen = independent_generator(two_j, RatePair.thermal(2.0))
+        state0 = aligned_state(symmetric_weights(SpinEnsemble(1, two_j)), excited=True)
+        assert_brackets(state0, gen, relaxation_time(state0, gen))
 
 
 class TestTransitionRates:

@@ -228,12 +228,14 @@ class TestSymmetricWeights:
 
 class TestBlockWeightsValidation:
     def test_negative_weight(self):
-        with pytest.raises(ValueError, match="negative"):
-            BlockWeights(SpinEnsemble(2, 1), {0: -0.1, 2: 1.1})
+        for bad in (-0.1, math.nan):
+            with pytest.raises(ValueError, match="negative"):
+                BlockWeights(SpinEnsemble(2, 1), {0: bad, 2: 1.1})
 
     def test_bad_sum(self):
-        with pytest.raises(ValueError, match="sum to 1"):
-            BlockWeights(SpinEnsemble(2, 1), {0: 0.3, 2: 0.3})
+        for other in (0.3, math.inf):
+            with pytest.raises(ValueError, match="sum to 1"):
+                BlockWeights(SpinEnsemble(2, 1), {0: 0.3, 2: other})
 
     def test_bad_parity(self):
         with pytest.raises(ValueError, match="not a sector"):

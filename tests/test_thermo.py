@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from spinheat.sectors import (
     BlockWeights,
@@ -316,3 +318,13 @@ class TestMomentIdentity:
         assert collective_heat_capacity(sym, b).c_over_kb == pytest.approx(
             b * b * var, rel=1e-12
         )
+
+
+class TestParityProperties:
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    @given(two_j=st.integers(0, 400), b=st.floats(1e-4, 50.0))
+    def test_energy_odd_capacity_even_and_nonnegative(self, two_j, b):
+        assert block_energy(two_j, -b) == -block_energy(two_j, b)
+        c = block_heat_capacity(two_j, b)
+        assert block_heat_capacity(two_j, -b) == c
+        assert c >= 0.0

@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from spinheat.sectors import (
     BlockWeights,
@@ -172,6 +174,19 @@ class TestOrderingProperty:
             f_p = fisher_collective_projection(w, b).value
             assert f_e <= f_q * (1.0 + 1e-9) + 1e-15
             assert f_p == pytest.approx(f_q, rel=1e-9, abs=1e-300)
+
+    @settings(max_examples=100, deadline=None, derandomize=True)
+    @given(n=st.integers(1, 40), two_s=st.integers(1, 5), b=st.floats(1e-3, 30.0), data=st.data())
+    def test_ordering_on_random_weights(self, n, two_s, b, data):
+        ens = SpinEnsemble(n, two_s)
+        keys = sorted(sector_multiplicities(ens).multiplicities)
+        raw = data.draw(st.lists(st.floats(0.0, 1.0), min_size=len(keys), max_size=len(keys)))
+        assume(sum(raw) > 0.0)
+        w = BlockWeights(ens, {tj: r / sum(raw) for tj, r in zip(keys, raw)})
+        f_e = fisher_energy_measurement(w, b).value
+        f_p = fisher_collective_projection(w, b).value
+        assert f_e <= f_p * (1.0 + 1e-12)
+        assert f_p == pytest.approx(qfi(w, b).value, rel=1e-10, abs=1e-300)
 
 
 class TestPrecisionBound:

@@ -28,7 +28,13 @@ from .dynamics import (
     stationary_state,
     uniform_state,
 )
-from .sectors import BlockWeights, SpinEnsemble, symmetric_weights, thermal_product_weights
+from .sectors import (
+    WEIGHT_SUM_TOL,
+    BlockWeights,
+    SpinEnsemble,
+    symmetric_weights,
+    thermal_product_weights,
+)
 from .thermo import (
     collective_heat_capacity,
     critical_temperature_approx,
@@ -174,8 +180,12 @@ def load_weights_file(path: str, ensemble: SpinEnsemble) -> BlockWeights:
     total = sum(raw.values())
     if not abs(total - 1.0) <= 1e-6:  # written so that a NaN total fails too
         raise CliError(f"weights in {path} sum to {total!r}, expected 1")
+    if abs(total - 1.0) > WEIGHT_SUM_TOL:
+        # rescale only what BlockWeights would refuse, so that a file of
+        # repr(p_J) lines gives back the weights it was written from
+        raw = {tj: p / total for tj, p in raw.items()}
     try:
-        return BlockWeights(ensemble, {tj: p / total for tj, p in raw.items()})
+        return BlockWeights(ensemble, raw)
     except ValueError as exc:
         raise CliError(str(exc)) from None
 
@@ -261,11 +271,22 @@ def _rows(quantity, curves, grid, nu, extra=None) -> list[list[float]]:
 
 
 def _exact_cycle_columns(args) -> list[str]:
-    """Names of the exact-cycle columns a work or power sweep adds; none without cycle flags."""
-    if args.quantity not in ("work", "power") or args.lambda_h is None or args.bc is None:
+    """Names of the exact-cycle columns a work or power sweep adds; none without cycle flags.
+
+    Cycle flags on another quantity, an incomplete set, or both --lambda-c
+    and --delta-eta are usage errors rather than flags silently ignored.
+    """
+    flags = {"--lambda-h": args.lambda_h, "--lambda-c": args.lambda_c, "--bc": args.bc,
+             "--delta-eta": args.delta_eta}
+    given = ", ".join(flag for flag, value in flags.items() if value is not None)
+    if not given:
         return []
-    if args.lambda_c is None and args.delta_eta is None:
-        return []
+    if args.quantity not in ("work", "power"):
+        raise CliError(f"{given} only apply to --quantity work or power")
+    one_lambda_c = (args.lambda_c is None) != (args.delta_eta is None)
+    if args.lambda_h is None or args.bc is None or not one_lambda_c:
+        raise CliError("exact-cycle columns need --lambda-h, --bc and exactly one of "
+                       f"--lambda-c or --delta-eta, got {given}")
     return ["W_col_exact", "W_ind_exact"] if args.quantity == "work" else ["P_col_exact", "P_ind_exact"]
 
 

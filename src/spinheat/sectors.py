@@ -132,6 +132,10 @@ def block_partition_function(two_j: int, b: float) -> float:
     return math.exp(log_block_partition_function(two_j, b))
 
 
+# how far from 1 the sector weights of a BlockWeights may sum
+WEIGHT_SUM_TOL = 1e-9
+
+
 @dataclass(frozen=True)
 class BlockWeights:
     """Probability weight p_J carried by each total-spin sector.
@@ -158,7 +162,7 @@ class BlockWeights:
             if not p >= 0.0:  # NaN fails here and in the sum check below
                 raise ValueError(f"negative or NaN sector weight p[{tj}]={p}")
             total += p
-        if not abs(total - 1.0) <= 1e-9:
+        if not abs(total - 1.0) <= WEIGHT_SUM_TOL:
             raise ValueError(f"sector weights must sum to 1, got {total!r}")
 
     def sorted_items(self) -> list[tuple[int, float]]:

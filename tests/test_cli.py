@@ -6,7 +6,7 @@ import pytest
 from spinheat.cli import FIGURES, main, parse_grid, parse_spin
 from spinheat.cli import CliError
 from spinheat.dynamics import RatePair, aligned_state, independent_generator, relaxation_time
-from spinheat.sectors import SpinEnsemble, symmetric_weights
+from spinheat.sectors import SpinEnsemble, symmetric_weights, thermal_product_weights
 
 
 def run(capsys, *argv):
@@ -170,17 +170,35 @@ class TestSweep:
         assert len(doc["rows"]) == 2
 
     def test_weights_file(self, capsys, tmp_path):
-        path = tmp_path / "w.txt"
-        path.write_text("# two_J p_J\n0 0.25\n2 0.75\n")
-        rc, out, _ = run(
-            capsys, "sweep", "--n", "2", "--spin", "1/2", "--quantity", "heat-capacity",
-            "--weights", f"file={path}", "--grid", "1:1:1:lin",
-        )
-        assert rc == 0
-        _, rows = parse_csv(out)
         from spinheat.thermo import block_heat_capacity
 
-        assert rows[0][1] == pytest.approx(0.75 * block_heat_capacity(2, 1.0), rel=1e-12)
+        path = tmp_path / "w.txt"
+        # the second file sums to 1 + 5e-7 and is rescaled to 1
+        for text, p2 in (("# two_J p_J\n0 0.25\n2 0.75\n", 0.75),
+                         ("0 0.25\n2 0.7500005\n", 0.7500005 / 1.0000005)):
+            path.write_text(text)
+            rc, out, _ = run(
+                capsys, "sweep", "--n", "2", "--spin", "1/2", "--quantity", "heat-capacity",
+                "--weights", f"file={path}", "--grid", "1:1:1:lin",
+            )
+            assert rc == 0
+            _, rows = parse_csv(out)
+            assert rows[0][1] == pytest.approx(p2 * block_heat_capacity(2, 1.0), rel=1e-12)
+
+    @pytest.mark.parametrize("n, spin, b0", [(2, "1/2", "0.3"), (3, "1/2", "0.3"), (12, "1", "1.7"),
+                                             (37, "3/2", "0.5")])
+    def test_weights_file_round_trip(self, capsys, tmp_path, n, spin, b0):
+        # thermal weights written as repr(p_J) lines read back as the same weights
+        path = tmp_path / "w.txt"
+        weights = thermal_product_weights(SpinEnsemble(n, parse_spin(spin)), float(b0))
+        path.write_text("".join(f"{tj} {p!r}\n" for tj, p in weights.sorted_items()))
+        rows = []
+        for spec in (f"thermal={b0}", f"file={path}"):
+            rc, out, _ = run(capsys, "sweep", "--n", str(n), "--spin", spin, "--quantity",
+                             "heat-capacity", "--weights", spec, "--grid", "0.03:80:33:log")
+            assert rc == 0
+            rows.append(out.splitlines()[1:])
+        assert rows[0] == rows[1]
 
     def test_thermal_weights(self, capsys):
         rc, out, _ = run(
@@ -431,6 +449,20 @@ class TestConfigFile:
         _, rows = parse_csv(out)
         assert len(rows) == 1 and rows[0][0] == pytest.approx(2.0)
 
+    @pytest.mark.parametrize("flags", [
+        ("--quantity", "precision", "--nu", "7") + _SWEEP,
+        ("--quantity", "power") + _SWEEP + _LAMBDA_C + ("--format", "json"),
+    ], ids=" ".join)
+    def test_config_round_trip(self, capsys, tmp_path, flags):
+        cfg = tmp_path / "sweep.ini"
+        cfg.write_text("[sweep]\n" + "".join(
+            f"{flag[2:].replace('-', '_')} = {value}\n" for flag, value in zip(flags[::2], flags[1::2])))
+        rc, direct, _ = run(capsys, "sweep", *flags)
+        assert rc == 0
+        rc, via_config, _ = run(capsys, "sweep", "--config", str(cfg))
+        assert rc == 0
+        assert via_config == direct
+
     def test_boolean_keys(self, capsys, tmp_path):
         cfg = tmp_path / "dyn.ini"
         cfg.write_text("[dynamics]\nbh = 5\npopulations = true\ngrid = 0:1:2:lin\n")
@@ -487,6 +519,23 @@ class TestExitCodes:
         assert rc == 2
         assert out == ""
         assert "finite" in err
+
+    @pytest.mark.parametrize("argv", [
+        ("--quantity", "heat-capacity", "--lambda-h", "1", "--bc", "2", "--delta-eta", "1e-3"),
+        ("--quantity", "precision", "--lambda-c", "0.8"),
+        ("--quantity", "hc-ratio", "--bc", "2"),
+        ("--quantity", "power-ratio", "--delta-eta", "1e-3"),
+        ("--quantity", "work", "--lambda-h", "1", "--delta-eta", "1e-3"),
+        ("--quantity", "work", "--bc", "2", "--lambda-c", "0.8"),
+        ("--quantity", "power", "--lambda-h", "1", "--bc", "2"),
+        ("--quantity", "work", "--lambda-h", "1", "--bc", "2", "--lambda-c", "0.8",
+         "--delta-eta", "1e-3"),
+    ], ids=" ".join)
+    def test_unusable_cycle_flags(self, capsys, argv):
+        rc, out, err = run(capsys, "sweep", "--n", "3", "--spin", "1/2", "--grid", "1:2:2:lin", *argv)
+        assert rc == 2
+        assert out == ""
+        assert "--quantity work or power" in err or "exactly one of" in err
 
     def test_zero_measurement_count(self, capsys):
         rc, _, err = run(

@@ -1,9 +1,10 @@
 import math
+from functools import partial
 
 import numpy as np
 import pytest
 import scipy.linalg
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from spinheat.dynamics import (
@@ -120,6 +121,23 @@ class TestPopulationState:
         assert bottom.tv_distance(bottom) == 0.0
 
 
+_STARTS = {"top": partial(aligned_state, excited=True), "bottom": aligned_state,
+           "uniform": uniform_state}
+
+
+@st.composite
+def evolve_cases(draw):
+    """(ensemble with n <= 30, thermal b0 or None for symmetric weights, start, bath b)."""
+    ens = SpinEnsemble(draw(st.integers(1, 30)), draw(st.integers(1, 3)))
+    b0 = draw(st.one_of(st.none(), st.floats(0.05, 3.0)))
+    return ens, b0, draw(st.sampled_from(sorted(_STARTS))), draw(st.floats(0.1, 10.0))
+
+
+def start_and_generator(ens, b0, start, b):
+    w = symmetric_weights(ens) if b0 is None else thermal_product_weights(ens, b0)
+    return _STARTS[start](w), collective_generator(ens, RatePair.thermal(b))
+
+
 class TestEvolve:
     def test_t_zero_is_identity(self):
         w = symmetric_weights(SpinEnsemble(3, 1))
@@ -143,6 +161,31 @@ class TestEvolve:
         st = evolve(s0, gen, 3.0)
         for tj, mass in s0.sector_masses().items():
             assert st.sector_masses()[tj] == pytest.approx(mass, abs=1e-12)
+
+    @pytest.mark.xfail(
+        strict=True,
+        reason="known defect: evolve's dense expm lets a sector's mass drift with ||A_J t||, "
+        "by 1.1e-12 at n=19, 2s=3, symmetric, bottom, b=1, t=25; see CHANGES.md",
+    )
+    @settings(max_examples=30, deadline=None, derandomize=True)
+    @given(case=evolve_cases(), times=st.lists(st.floats(0.0, 30.0), min_size=1, max_size=5))
+    @example(case=(SpinEnsemble(19, 3), None, "bottom", 1.0), times=[25.0])
+    def test_mass_conservation_property(self, case, times):
+        s0, gen = start_and_generator(*case)
+        for t in times:
+            masses = evolve(s0, gen, t).sector_masses()
+            for tj, mass in s0.sector_masses().items():
+                assert masses[tj] == pytest.approx(mass, abs=1e-12)
+
+    @settings(max_examples=30, deadline=None, derandomize=True)
+    @given(case=evolve_cases(), times=st.lists(st.floats(0.0, 30.0), min_size=2, max_size=6))
+    def test_tv_to_stationary_never_increases(self, case, times):
+        s0, gen = start_and_generator(*case)
+        target = stationary_state(s0, gen.rates)
+        times = sorted(times)
+        distances = [evolve(s0, gen, t).tv_distance(target) for t in times]
+        for earlier, later in zip(distances, distances[1:]):
+            assert later <= earlier + 1e-12
 
     def test_long_time_reaches_sector_gibbs(self):
         ens = SpinEnsemble(3, 1)

@@ -1,8 +1,9 @@
 import math
 
+import mpmath
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from spinheat.sectors import (
@@ -24,12 +25,25 @@ from spinheat.thermometry import (
     qfi_moment_form,
 )
 
+from brute import fisher_energy_by_sector, fisher_projection_by_sector
+
 
 def random_weights(rng, n, two_s):
     ens = SpinEnsemble(n, two_s)
     keys = sorted(sector_multiplicities(ens).multiplicities)
     raw = rng.dirichlet(np.ones(len(keys)))
     return BlockWeights(ens, dict(zip(keys, map(float, raw))))
+
+
+@st.composite
+def block_weights(draw):
+    """Random weights, some of them zero, over the sectors of an ensemble with n <= 40, 2s <= 5."""
+    ens = SpinEnsemble(draw(st.integers(1, 40)), draw(st.integers(1, 5)))
+    keys = sorted(sector_multiplicities(ens).multiplicities)
+    raw = draw(st.lists(st.one_of(st.just(0.0), st.floats(0.0, 1.0)),
+                        min_size=len(keys), max_size=len(keys)))
+    assume(sum(raw) > 0.0)
+    return BlockWeights(ens, {tj: r / sum(raw) for tj, r in zip(keys, raw)})
 
 
 def outcome_distribution(weights, b):
@@ -46,6 +60,40 @@ def outcome_distribution(weights, b):
             if abs(tm) <= tj:
                 p[k] += w * math.exp(-0.5 * tm * b) / z
     return p
+
+
+def mp_fisher(weights, b, dps=60):
+    """(energy, projection) Fisher information times T^2 in `dps`-digit arithmetic.
+
+    Outcome by outcome: p(m) = sum_{J >= |m|} p_J q_m, with derivative
+    sum_J p_J q_m (e_J - m), and sector J adds p_J var_J to the projection;
+    q_m, e_J and var_J are direct sums over each ladder.
+    """
+    with mpmath.workdps(dps):
+        b = mpmath.mpf(b)
+        sectors = []
+        for tj, p in weights.sorted_items():
+            ms = [mpmath.mpf(tm) / 2 for tm in range(-tj, tj + 1, 2)]
+            q = [mpmath.exp(-m * b) for m in ms]
+            z = mpmath.fsum(q)
+            q = [x / z for x in q]
+            e = mpmath.fsum(x * m for x, m in zip(q, ms))
+            var = mpmath.fsum(x * (m - e) ** 2 for x, m in zip(q, ms))
+            sectors.append((tj, mpmath.mpf(p), q, e, var))
+        energy = mpmath.mpf(0)
+        top = weights.max_two_j()
+        for tm in range(-top, top + 1, 2):
+            m = mpmath.mpf(tm) / 2
+            prob = dprob = mpmath.mpf(0)
+            for tj, p, q, e, _ in sectors:
+                if abs(tm) <= tj:
+                    x = p * q[(tm + tj) // 2]
+                    prob += x
+                    dprob += x * (e - m)
+            if prob > 0:
+                energy += dprob * dprob / prob
+        projection = mpmath.fsum(p * var for _, p, _, _, var in sectors)
+        return float(b * b * energy), float(b * b * projection)
 
 
 def fd_fisher(weights, b, h=1e-6):
@@ -176,17 +224,34 @@ class TestOrderingProperty:
             assert f_p == pytest.approx(f_q, rel=1e-9, abs=1e-300)
 
     @settings(max_examples=100, deadline=None, derandomize=True)
-    @given(n=st.integers(1, 40), two_s=st.integers(1, 5), b=st.floats(1e-3, 30.0), data=st.data())
-    def test_ordering_on_random_weights(self, n, two_s, b, data):
-        ens = SpinEnsemble(n, two_s)
-        keys = sorted(sector_multiplicities(ens).multiplicities)
-        raw = data.draw(st.lists(st.floats(0.0, 1.0), min_size=len(keys), max_size=len(keys)))
-        assume(sum(raw) > 0.0)
-        w = BlockWeights(ens, {tj: r / sum(raw) for tj, r in zip(keys, raw)})
+    @given(w=block_weights(), b=st.floats(1e-3, 30.0))
+    def test_ordering_on_random_weights(self, w, b):
         f_e = fisher_energy_measurement(w, b).value
         f_p = fisher_collective_projection(w, b).value
         assert f_e <= f_p * (1.0 + 1e-12)
         assert f_p == pytest.approx(qfi(w, b).value, rel=1e-10, abs=1e-300)
+
+
+class TestPrefixSumKernels:
+    @settings(max_examples=150, deadline=None, derandomize=True)
+    @given(w=block_weights(), b=st.floats(-9.0, 9.0))
+    @example(w=BlockWeights(SpinEnsemble(1, 3), {3: 1.0}), b=-2.0)
+    @example(w=BlockWeights(SpinEnsemble(5, 1), {1: 0.0, 3: 0.25, 5: 0.75}), b=-7.0)
+    @example(w=BlockWeights(SpinEnsemble(4, 1), {0: 0.5, 2: 0.0, 4: 0.5}), b=0.5)
+    def test_match_sector_loops(self, w, b):
+        assert fisher_energy_measurement(w, b).value == pytest.approx(
+            fisher_energy_by_sector(w, b), rel=1e-10, abs=1e-300)
+        assert fisher_collective_projection(w, b).value == pytest.approx(
+            fisher_projection_by_sector(w, b), rel=1e-10, abs=1e-300)
+
+    @pytest.mark.parametrize("n, two_s, b0", [(30, 1, 0.5), (12, 3, 1.0), (120, 1, 0.25), (8, 9, 0.5)])
+    def test_match_high_precision_reference(self, n, two_s, b0):
+        # up to b = 30, where forming e_J - m directly loses up to 1e-2 relative
+        w = thermal_product_weights(SpinEnsemble(n, two_s), b0)
+        for b in [0.3, 3.0, 9.0, 13.0, 20.0, 30.0, -2.0, -30.0]:
+            energy, projection = mp_fisher(w, b)
+            assert fisher_energy_measurement(w, b).value == pytest.approx(energy, rel=1e-12)
+            assert fisher_collective_projection(w, b).value == pytest.approx(projection, rel=1e-12)
 
 
 class TestPrecisionBound:

@@ -43,11 +43,14 @@ __all__ = [
 # action. For one propagation Krylov measured faster or even above it: at 1001
 # levels, b = 2, one BLAS thread, 0.12 / 1.2 / 4.3 s of CPU against 2.1 / 2.3 /
 # 3.9 s dense for t*gap = 0.1 / 1 / 5. `relaxation_time` propagates many times
-# and keeps its dense chain at every size.
+# and keeps its propagators dense at every size.
 _DENSE_EXPM_CAP = 512
 
 # relative width of the final relaxation-time bracket
 _RESOLUTION = 1e-3
+
+# sector mass at or below which spectral_gap ignores a sector
+_MASS_TOL = 1e-12
 
 
 class ConvergenceError(ArithmeticError):
@@ -132,7 +135,6 @@ class PopulationState:
     """
 
     blocks: dict[int, np.ndarray]
-    time: float = 0.0
 
     def __post_init__(self):
         total = 0.0
@@ -156,28 +158,19 @@ class PopulationState:
 
     def tv_distance(self, other: "PopulationState") -> float:
         """Total-variation distance, treating absent sectors as empty."""
-        d = 0.0
-        for tj in set(self.blocks) | set(other.blocks):
-            p = self.blocks.get(tj)
-            q = other.blocks.get(tj)
-            if p is None:
-                d += float(np.sum(np.abs(q)))
-            elif q is None:
-                d += float(np.sum(np.abs(p)))
-            else:
-                d += float(np.sum(np.abs(p - q)))
-        return 0.5 * d
+        return 0.5 * sum(
+            float(np.sum(np.abs(self.blocks.get(tj, 0.0) - other.blocks.get(tj, 0.0))))
+            for tj in set(self.blocks) | set(other.blocks)
+        )
 
 
-def gibbs_state(weights: BlockWeights, b: float, time: float = 0.0) -> PopulationState:
+def gibbs_state(weights: BlockWeights, b: float) -> PopulationState:
     """Per-sector Gibbs populations at inverse temperature b, scaled by the weights.
 
     This is both the collective steady state for a bath at b and the exact
     sector-resolved content of a product thermal state prepared at b0 = b.
     """
-    return PopulationState(
-        {tj: p * ladder_boltzmann(tj, b) for tj, p in weights.sorted_items()}, time
-    )
+    return PopulationState({tj: p * ladder_boltzmann(tj, b) for tj, p in weights.sorted_items()})
 
 
 def aligned_state(weights: BlockWeights, excited: bool = False) -> PopulationState:
@@ -208,7 +201,14 @@ def stationary_state(state: PopulationState, rates: RatePair) -> PopulationState
         else:
             v = ladder_boltzmann(tj, rates.bath_b)
         blocks[tj] = mass * v
-    return PopulationState(blocks, time=math.inf)
+    return PopulationState(blocks)
+
+
+def _ladder(generator: RateGenerator, two_j: int) -> np.ndarray:
+    a = generator.blocks.get(two_j)
+    if a is None:
+        raise ValueError(f"generator has no block for sector two_j={two_j}")
+    return a
 
 
 def evolve(state: PopulationState, generator: RateGenerator, t: float) -> PopulationState:
@@ -219,7 +219,8 @@ def evolve(state: PopulationState, generator: RateGenerator, t: float) -> Popula
     with ||A t|| growing like J, and a Krylov action (Al-Mohy & Higham 2011)
     needs many more steps there than squaring does. Larger blocks take the
     Krylov action, where the O(dim^3) dense cost dominates instead.
-    Positivity and per-sector mass are preserved up to roundoff.
+    Negative roundoff is clipped, and each sector is rescaled to its input
+    mass, which dense expm lets drift with ||A t|| (by 1e-12 at ~1e5).
     """
     if t < 0.0:
         raise ValueError(f"cannot evolve backwards, t={t}")
@@ -227,20 +228,18 @@ def evolve(state: PopulationState, generator: RateGenerator, t: float) -> Popula
         return state
     blocks = {}
     for tj, p in state.blocks.items():
-        a = generator.blocks.get(tj)
-        if a is None:
-            raise ValueError(f"generator has no block for sector two_j={tj}")
+        a = _ladder(generator, tj)
         if a.shape[0] <= _DENSE_EXPM_CAP:
             q = expm(a * t) @ p
         else:
             q = expm_multiply(a * t, p)
-        blocks[tj] = np.clip(q, 0.0, None)
-    return PopulationState(blocks, time=state.time + t)
+        q = np.clip(q, 0.0, None)
+        mass = np.sum(q)
+        blocks[tj] = q * (np.sum(p) / mass) if mass > 0.0 else q
+    return PopulationState(blocks)
 
 
-def spectral_gap(
-    state: PopulationState, generator: RateGenerator, mass_tol: float = 1e-12
-) -> float:
+def spectral_gap(state: PopulationState, generator: RateGenerator) -> float:
     """Smallest nonzero decay rate of the generator on the populated sectors.
 
     A birth-death ladder is similar (through the square root of its Gibbs
@@ -257,9 +256,9 @@ def spectral_gap(
     """
     gap = math.inf
     for tj, p in state.blocks.items():
-        if tj == 0 or float(np.sum(p)) <= mass_tol:
+        a = _ladder(generator, tj)
+        if tj == 0 or float(np.sum(p)) <= _MASS_TOL:
             continue
-        a = generator.blocks[tj]
         off = np.sqrt(np.diagonal(a, 1) * np.diagonal(a, -1))
         vals = eigvalsh_tridiagonal(np.diagonal(a), off)
         gap = min(gap, -float(vals[-2]))
@@ -270,43 +269,6 @@ def spectral_gap(
 class RelaxationResult:
     time: float
     spectral_gap: float
-
-
-class _PropagatorChain:
-    """Propagators exp(A_J h 2^k) of several ladders, by integer level k.
-
-    Only the lowest level comes from a dense expm; each level above it is
-    the square of the one below (the semigroup property). Every block is
-    held densely, whatever its size: at 1001 levels (b = 2) that made
-    relaxation_time about 12x faster than a Krylov action per step, for
-    about twice the peak memory.
-    """
-
-    def __init__(self, blocks: dict[int, np.ndarray], h: float, floor: int):
-        self.blocks, self.h = blocks, h
-        self.floor = floor
-        self.levels = {floor: self._expm(floor)}
-
-    def _expm(self, k: int) -> dict[int, np.ndarray]:
-        t = self.h * 2.0**k
-        return {tj: expm(a * t) for tj, a in self.blocks.items()}
-
-    def lower(self, floor: int) -> None:
-        """Make `floor` (below the current one) the lowest level, with one more dense expm."""
-        self.levels[floor] = self._expm(floor)
-        self.floor = floor
-
-    def _level(self, k: int) -> dict[int, np.ndarray]:
-        got = self.levels.get(k)
-        if got is None:
-            below = self._level(k - 1)
-            got = self.levels[k] = {tj: e @ e for tj, e in below.items()}
-        return got
-
-    def step(self, k: int, blocks: dict[int, np.ndarray]) -> dict[int, np.ndarray]:
-        """Populations a time h 2^k after `blocks`; needs k >= floor."""
-        level = self._level(k)
-        return {tj: np.clip(level[tj] @ p, 0.0, None) for tj, p in blocks.items()}
 
 
 def relaxation_time(
@@ -325,13 +287,14 @@ def relaxation_time(
     With h = 1/gap every doubling step is h 2^k and every bisection step
     halves the last one, so each probe advances the state at the lower
     bracket end by exp(A h 2^k): one matrix-vector product per sector from a
-    chain of propagators built by one dense expm at the finest level the
+    stack of propagators built by one dense expm at the finest level the
     resolution can need, h 2^floor(log2 1e-3), and repeated squaring above
     it, for every ladder size. Squaring suits these stiff ladders: a Krylov
     action per probe (Al-Mohy & Higham 2011) measured 35-100x slower on
-    ladders of 25 to 71 levels, and about 12x slower at 1001. A crossing
-    before h can need finer steps; each finer floor then costs one more
-    expm, placed at the finest step the bracket still allows.
+    ladders of 25 to 71 levels, and about 12x slower at 1001, where the
+    dense levels doubled peak memory. A crossing before h can need finer
+    steps; each finer floor then costs one more expm, placed at the finest
+    step the bracket still allows.
     """
     if not 0.0 < epsilon < 1.0:
         raise ValueError(f"epsilon must be in (0, 1), got {epsilon}")
@@ -353,10 +316,23 @@ def relaxation_time(
         """Lowest level a bisection of a bracket above t_lo can still step by."""
         return math.floor(math.log2(_RESOLUTION * t_lo / h))
 
-    chain = _PropagatorChain({tj: generator.blocks[tj] for tj in p_lo}, h, finest(h))
+    def expm_level(k: int) -> dict[int, np.ndarray]:
+        return {tj: expm(generator.blocks[tj] * (h * 2.0**k)) for tj in p_lo}
+
+    # levels[i] holds exp(A_J h 2^(floor + i)) for every populated ladder
+    floor = finest(h)
+    levels = [expm_level(floor)]
+
+    def step(k: int, blocks: dict[int, np.ndarray]) -> dict[int, np.ndarray]:
+        """Populations a time h 2^k after `blocks`; needs k >= floor."""
+        while len(levels) <= k - floor:
+            levels.append({tj: e @ e for tj, e in levels[-1].items()})
+        del levels[k - floor + 1:]  # bisection only steps down
+        return {tj: np.clip(levels[-1][tj] @ p, 0.0, None) for tj, p in blocks.items()}
+
     # bracket [t_lo, t_hi] of width h 2^k, with p_lo the state at t_lo
     t_lo, t_hi, k = 0.0, h, 0
-    p = chain.step(k, p_lo)
+    p = step(k, p_lo)
     while dist(p) >= epsilon:
         if t_lo > 0.0:  # [0, h] is followed by [h, 2h]; later brackets double
             k += 1
@@ -365,13 +341,14 @@ def relaxation_time(
             raise ConvergenceError(
                 f"TV distance still >= {epsilon} at t = {t_hi} / G(omega)"
             )
-        p = chain.step(k, p_lo)
+        p = step(k, p_lo)
     while t_hi - t_lo > _RESOLUTION * t_hi:
         mid = 0.5 * (t_lo + t_hi)
         k -= 1
-        if k < chain.floor:
-            chain.lower(k if t_lo == 0.0 else min(k, finest(t_lo)))
-        p = chain.step(k, p_lo)
+        if k < floor:
+            floor = k if t_lo == 0.0 else min(k, finest(t_lo))
+            levels = [expm_level(floor)]
+        p = step(k, p_lo)
         if dist(p) < epsilon:
             t_hi = mid
         else:
@@ -383,14 +360,10 @@ def transition_rate_range(two_j: int, rates: RatePair) -> tuple[float, float]:
     """Exact (min, max) downward rate over the ladder's m grid.
 
     The m -> m-1 rate is (J+m)(J-m+1) g_down; the minimum 2J sits at the
-    ladder edge and the maximum at the band center (J(J+1) for integer J,
-    (J+1/2)^2 for half-integer J). The edge rate is what scales as n between
-    the symmetric sector and a single spin.
+    ladder edge and the maximum (2J+1)^2 // 4 at the band center (J(J+1)
+    for integer J, (J+1/2)^2 for half-integer J). The edge rate is what
+    scales as n between the symmetric sector and a single spin.
     """
     if two_j < 1:
         raise ValueError("need two_j >= 1 for at least one transition")
-    prods = [
-        (two_j + two_m) * (two_j - two_m + 2) // 4
-        for two_m in range(-two_j + 2, two_j + 1, 2)
-    ]
-    return min(prods) * rates.g_down, max(prods) * rates.g_down
+    return two_j * rates.g_down, (two_j + 1) ** 2 // 4 * rates.g_down

@@ -192,16 +192,9 @@ def uniform_state(weights: BlockWeights) -> PopulationState:
 
 def stationary_state(state: PopulationState, rates: RatePair) -> PopulationState:
     """The state `state` relaxes to: per-sector Gibbs with the same sector masses."""
-    blocks = {}
-    for tj, p in state.blocks.items():
-        mass = float(np.sum(p))
-        if rates.g_up == 0.0:
-            v = np.zeros(tj + 1)
-            v[0] = 1.0
-        else:
-            v = ladder_boltzmann(tj, rates.bath_b)
-        blocks[tj] = mass * v
-    return PopulationState(blocks)
+    return PopulationState(
+        {tj: float(np.sum(p)) * ladder_boltzmann(tj, rates.bath_b) for tj, p in state.blocks.items()}
+    )
 
 
 def _ladder(generator: RateGenerator, two_j: int) -> np.ndarray:

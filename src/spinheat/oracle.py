@@ -201,16 +201,11 @@ def expected_steady_state(rho0: DensityMatrix, rates: RatePair) -> DensityMatrix
     the sector-weighted mixture of Gibbs ladders.
     """
     iso = sector_isometries(rho0.ensemble)
-    b = rates.bath_b
     dim = rho0.ensemble.dim
     out = np.zeros((dim, dim), dtype=complex)
     for tj, ladders in iso.items():
         sigma = sum(v.T @ rho0.matrix @ v for v in ladders.values())
-        if math.isfinite(b):
-            pops = ladder_boltzmann(tj, b)
-        else:
-            pops = np.zeros(tj + 1)
-            pops[0] = 1.0
+        pops = ladder_boltzmann(tj, rates.bath_b)
         for i, two_m in enumerate(range(-tj, tj + 1, 2)):
             v = ladders[two_m]
             out += pops[i] * (v @ sigma @ v.T)

@@ -88,8 +88,6 @@ class CycleResult:
     work_extracted: float
     heat_hot: float
     heat_cold: float
-    efficiency: float
-    delta_eta: float
 
 
 def _check_mode(mode: str) -> None:
@@ -120,8 +118,6 @@ def cycle_exact(
         work_extracted=(params.lambda_h - params.lambda_c) * de,
         heat_hot=params.lambda_h * de,
         heat_cold=-params.lambda_c * de,
-        efficiency=params.efficiency,
-        delta_eta=params.delta_eta,
     )
 
 

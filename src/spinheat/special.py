@@ -30,13 +30,16 @@ def xcsch2(x: float) -> float:
     """(x / sinh x)**2 via 4 x^2 e^{-2x} / (1 - e^{-2x})^2.
 
     Accurate from the x -> 0 limit (value 1) down to where the true value
-    underflows; safe for arbitrarily large x.
+    underflows; 0.0 once e^{-2x} underflows, where 4 x^2 may be inf.
     """
     x = abs(x)
     if x == 0.0:
         return 1.0
+    e = math.exp(-2.0 * x)
+    if e == 0.0:
+        return 0.0
     d = -math.expm1(-2.0 * x)
-    return 4.0 * x * x * math.exp(-2.0 * x) / (d * d)
+    return 4.0 * x * x * e / (d * d)
 
 
 def ladder_two_m(two_j: int) -> np.ndarray:
@@ -48,8 +51,13 @@ def ladder_boltzmann(two_j: int, b: float) -> np.ndarray:
     """Normalized Gibbs populations exp(-m*b)/Z along one spin-J ladder.
 
     Index i holds two_m = -two_j + 2*i. Evaluated with a shifted exponent so
-    large |b| never overflows.
+    large |b| never overflows; b = +inf (-inf) puts all weight on the bottom
+    (top) level.
     """
+    if math.isinf(b):
+        w = np.zeros(two_j + 1)
+        w[0 if b > 0.0 else -1] = 1.0
+        return w
     expo = ladder_two_m(two_j) * (-0.5 * b)
     expo -= expo.max()
     w = np.exp(expo)

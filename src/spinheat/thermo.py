@@ -14,8 +14,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-import numpy as np
-
 from .sectors import BlockWeights, SpinEnsemble
 from .special import coth, xcsch2
 
@@ -39,7 +37,7 @@ _SMALL = 0.02
 
 
 class BracketError(ArithmeticError):
-    """Capacity-crossing root could not be bracketed by the scan."""
+    """Capacity-crossing root could not be bracketed or resolved."""
 
 
 def block_energy(two_j: int, b: float) -> float:
@@ -86,27 +84,20 @@ def block_heat_capacity(two_j: int, b: float) -> float:
 
 @dataclass(frozen=True)
 class HeatCapacityResult:
-    """Heat capacity in units of k_B, with the state it was evaluated for.
-
-    weights is None for the independent (product-thermal) case.
-    """
+    """Heat capacity in units of k_B."""
 
     c_over_kb: float
-    b: float
-    weights: BlockWeights | None
 
 
 def collective_heat_capacity(weights: BlockWeights, b: float) -> HeatCapacityResult:
     """Weighted sector sum sum_J p_J C_J(b); the capacity of the collective steady state."""
     c = sum(p * block_heat_capacity(tj, b) for tj, p in weights.sorted_items())
-    return HeatCapacityResult(c, b, weights)
+    return HeatCapacityResult(c)
 
 
 def independent_heat_capacity(ensemble: SpinEnsemble, b: float) -> HeatCapacityResult:
     """n times the single-spin capacity: independent coupling thermalizes each spin."""
-    return HeatCapacityResult(
-        ensemble.n * block_heat_capacity(ensemble.two_s, b), b, None
-    )
+    return HeatCapacityResult(ensemble.n * block_heat_capacity(ensemble.two_s, b))
 
 
 def steady_state_energy(weights: BlockWeights, b: float) -> float:
@@ -147,9 +138,12 @@ def critical_temperature_approx(ensemble: SpinEnsemble) -> float:
 def critical_temperature_numeric(ensemble: SpinEnsemble) -> float:
     """Crossover temperature from the defining equality C_{ns}(b) = n C_s(b).
 
-    Bisection on the bracketed sign change of the capacity gap; the gap is
-    positive at small b and negative at large b, with a single crossing for
-    n >= 2. Returns 1/b_cr in units hbar*omega/k_B.
+    Bisection on the sign change of the capacity gap, positive at small b and
+    negative at large b with a single crossing for n >= 2, inside the bracket
+    b in [0.5, 2] / critical_temperature_approx (the root lies within 9% of
+    the closed form for 2s <= 5000, n <= 1e6). The gap subtracts n copies of
+    a capacity near 1, so its rounding floor, and the accepted residual,
+    grow like n eps. Returns 1/b_cr in units hbar*omega/k_B.
     """
     if ensemble.n < 2:
         raise ValueError("collective and independent capacities only cross for n >= 2")
@@ -158,26 +152,17 @@ def critical_temperature_numeric(ensemble: SpinEnsemble) -> float:
     def gap(b: float) -> float:
         return block_heat_capacity(tjm, b) - n * block_heat_capacity(ts, b)
 
-    grid = np.geomspace(1e-3, 1e3, 121)
-    lo = hi = None
-    g_lo = gap(grid[0])
-    for i in range(len(grid) - 1):
-        g_hi = gap(grid[i + 1])
-        if g_lo > 0.0 >= g_hi:
-            lo, hi = grid[i], grid[i + 1]
-            break
-        g_lo = g_hi
-    if lo is None:
-        raise BracketError(
-            f"no capacity crossing bracketed in b = [1e-3, 1e3] for {ensemble}"
-        )
+    t_est = critical_temperature_approx(ensemble)
+    lo, hi = 0.5 / t_est, 2.0 / t_est
+    if not gap(lo) > 0.0 >= gap(hi):
+        raise BracketError(f"no capacity crossing bracketed in b = [{lo!r}, {hi!r}] for {ensemble}")
     while hi - lo > 1e-15 * hi:
         mid = 0.5 * (lo + hi)
         if gap(mid) > 0.0:
             lo = mid
         else:
             hi = mid
-    b_cr = float(0.5 * (lo + hi))
-    if abs(gap(b_cr)) > 1e-12:
+    b_cr = 0.5 * (lo + hi)
+    if not abs(gap(b_cr)) <= 64 * n * math.ulp(1.0):
         raise BracketError(f"crossing residual {gap(b_cr)!r} too large at b={b_cr}")
     return 1.0 / b_cr

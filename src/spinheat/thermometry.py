@@ -37,30 +37,16 @@ class ZeroInformationError(ArithmeticError):
 
 @dataclass(frozen=True)
 class FisherResult:
-    """Fisher information about T scaled by T^2 (dimensionless).
-
-    kind is one of "qfi", "energy", "projection".
-    """
+    """Fisher information about T scaled by T^2 (dimensionless)."""
 
     value: float
-    b: float
-    kind: str
 
 
 @dataclass(frozen=True)
 class PrecisionBound:
-    """Lower bound on the relative temperature error stddev(T)/T.
+    """Lower bound on the relative temperature error stddev(T)/T after nu measurements."""
 
-    min_rel_stddev is the single-measurement (nu = 1) value; repeating the
-    measurement nu times tightens the bound by 1/sqrt(nu).
-    """
-
-    min_rel_stddev: float
-    nu: int
-
-    @property
-    def bound(self) -> float:
-        return self.min_rel_stddev / math.sqrt(self.nu)
+    bound: float
 
 
 def block_moments(two_j: int, b: float) -> tuple[float, float]:
@@ -97,11 +83,11 @@ def qfi(weights: BlockWeights, b: float) -> FisherResult:
     """
     closed = collective_heat_capacity(weights, b).c_over_kb
     moment = qfi_moment_form(weights, b)
-    if abs(closed - moment) > 1e-10 * max(1.0, abs(closed), abs(moment)):
+    if not abs(closed - moment) <= 1e-10 * max(1.0, abs(closed), abs(moment)):
         raise ArithmeticError(
             f"Fisher information cross-check failed: {closed!r} vs {moment!r}"
         )
-    return FisherResult(closed, b, "qfi")
+    return FisherResult(closed)
 
 
 def _ladder_moments(weights: BlockWeights, a: float):
@@ -169,7 +155,7 @@ def fisher_energy_measurement(weights: BlockWeights, b: float) -> FisherResult:
     i, up = i[seen], up[seen]
     prob = np.exp(-a * up) * big_a[i]
     score = (big_m[i] - big_c[i]) / big_a[i] - up
-    return FisherResult(b * b * float(np.dot(prob, score * score)), b, "energy")
+    return FisherResult(b * b * float(np.dot(prob, score * score)))
 
 
 def fisher_collective_projection(weights: BlockWeights, b: float) -> FisherResult:
@@ -183,7 +169,7 @@ def fisher_collective_projection(weights: BlockWeights, b: float) -> FisherResul
     simply adds nothing.
     """
     _, p, _, mu, k2 = _ladder_moments(weights, abs(b))
-    return FisherResult(b * b * float(np.dot(p, k2 - mu * mu)), b, "projection")
+    return FisherResult(b * b * float(np.dot(p, k2 - mu * mu)))
 
 
 def min_relative_stddev(weights: BlockWeights, b: float, nu: int = 1) -> PrecisionBound:
@@ -195,4 +181,4 @@ def min_relative_stddev(weights: BlockWeights, b: float, nu: int = 1) -> Precisi
         raise ZeroInformationError(
             f"collective heat capacity vanishes at b={b}; no temperature bound"
         )
-    return PrecisionBound(1.0 / math.sqrt(c), nu)
+    return PrecisionBound(1.0 / math.sqrt(c) / math.sqrt(nu))

@@ -97,7 +97,7 @@ GOLDEN_DIGESTS = {
     ("sweep", "--quantity", "power") + _SWEEP + _LAMBDA_C:
         "21eda1a46840ea943b3cb230b40771e76fd7b7ac998254f9a6ea156e97863e76",
     ("tcr", "--spin", "1/2", "--grid", "2:300:7:log"):
-        "ae073f3dfae6a2af882efc6b55b1e474d795ad041c96e412cb6314784b6f720b",
+        "ae037243d7c616c4bedbed8282df279e2ea04e6d83f311f3ae32f00afda52839",
     _DYNAMICS:
         "418d12b3106d17bdffef688e8e4286e5847bac023df78fffbb6a238f107309ce",
     _DYNAMICS + ("--oracle",):
@@ -202,6 +202,17 @@ class TestSweep:
             rows.append(out.splitlines()[1:])
         assert rows[0] == rows[1]
 
+    @pytest.mark.parametrize("grid", ["1e-160:1e-150:2:log", "1e-320:1e-310:2:log"])
+    def test_zero_temperature_grid(self, capsys, grid):
+        # b = 1/x reaches 1e160 and inf: capacities vanish instead of turning NaN
+        argv = ("sweep", "--n", "3", "--spin", "1/2", "--grid", grid, "--quantity")
+        rc, out, _ = run(capsys, *argv, "heat-capacity")
+        assert rc == 0
+        assert [row[1:] for row in parse_csv(out)[1]] == [[0.0, 0.0], [0.0, 0.0]]
+        rc, _, err = run(capsys, *argv, "precision")
+        assert rc == 3
+        assert "vanished" in err
+
     def test_thermal_weights(self, capsys):
         rc, out, _ = run(
             capsys, "sweep", "--n", "4", "--spin", "1/2", "--quantity", "hc-ratio",
@@ -268,6 +279,13 @@ class TestTcr:
         assert header == ["n", "tcr_approx", "tcr_numeric", "rel_gap"]
         assert all(row[3] < 0.10 for row in rows)
 
+    def test_large_ensemble_resolves(self, capsys):
+        # the capacity gap's rounding floor here is about 1e-12
+        rc, out, _ = run(capsys, "tcr", "--spin", "1/2", "--grid", "10000:10000:1:log")
+        assert rc == 0
+        _, rows = parse_csv(out)
+        assert rows[0][3] < 1e-3
+
     def test_single_spin_rejected(self, capsys):
         rc, _, err = run(capsys, "tcr", "--spin", "1/2", "--grid", "1:4:4:lin")
         assert rc == 2
@@ -306,7 +324,7 @@ class TestSiReport:
                 "omega_rad_per_s = 18016790979.727085\n"
                 "temperature_unit_K = 0.1376164398047585\n"
                 "tcr_closed_form_K = 0.22118748074138342\n"
-                "tcr_numeric_K = 0.21543174327585188\n"
+                "tcr_numeric_K = 0.21543174327585224\n"
                 "qfi_enhancement_high_T = 4.0\nprecision_ratio_high_T = 0.5\n",
             ),
             (
@@ -315,7 +333,7 @@ class TestSiReport:
                 "omega_rad_per_s = 94825215682.77412\n"
                 "temperature_unit_K = 0.7242970516039919\n"
                 "tcr_closed_form_K = 2.1526777745015817\n"
-                "tcr_numeric_K = 2.076435324078481\n"
+                "tcr_numeric_K = 2.0764353240784805\n"
                 "qfi_enhancement_high_T = 4.6\nprecision_ratio_high_T = 0.4662524041201569\n",
             ),
             (
@@ -325,7 +343,7 @@ class TestSiReport:
                 '  "omega_rad_per_s": 18016790979.727085,\n'
                 '  "temperature_unit_K": 0.1376164398047585,\n'
                 '  "tcr_closed_form_K": 0.22118748074138342,\n'
-                '  "tcr_numeric_K": 0.21543174327585188,\n'
+                '  "tcr_numeric_K": 0.21543174327585224,\n'
                 '  "qfi_enhancement_high_T": 4.0,\n  "precision_ratio_high_T": 0.5\n}\n',
             ),
             (
@@ -335,7 +353,7 @@ class TestSiReport:
                 '  "omega_rad_per_s": 94825215682.77412,\n'
                 '  "temperature_unit_K": 0.7242970516039919,\n'
                 '  "tcr_closed_form_K": 2.1526777745015817,\n'
-                '  "tcr_numeric_K": 2.076435324078481,\n'
+                '  "tcr_numeric_K": 2.0764353240784805,\n'
                 '  "qfi_enhancement_high_T": 4.6,\n'
                 '  "precision_ratio_high_T": 0.4662524041201569\n}\n',
             ),

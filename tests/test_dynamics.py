@@ -72,6 +72,21 @@ class TestGenerators:
                 pi = ladder_boltzmann(two_j, b)
                 assert np.abs(a @ pi).max() <= 1e-10 * np.abs(a).max()
 
+    def test_zero_temperature_ladders_are_one_hot(self):
+        for two_j in [0, 1, 2, 7]:
+            bottom, top = np.zeros(two_j + 1), np.zeros(two_j + 1)
+            bottom[0] = top[-1] = 1.0
+            assert np.array_equal(ladder_boltzmann(two_j, math.inf), bottom)
+            assert np.array_equal(ladder_boltzmann(two_j, -math.inf), top)
+
+    def test_zero_temperature_stationary_state_is_gibbs_at_inf(self):
+        w = thermal_product_weights(SpinEnsemble(4, 1), 0.7)
+        got = stationary_state(aligned_state(w, excited=True), RatePair(1.0, 0.0))
+        want = gibbs_state(w, math.inf)
+        assert sorted(got.blocks) == sorted(want.blocks)
+        for tj, p in want.blocks.items():
+            assert np.array_equal(got.blocks[tj], p)
+
     def test_stationary_vector_is_unique(self):
         a = ladder_generator(4, RatePair.thermal(1.0))
         evals = np.linalg.eigvals(a)

@@ -57,7 +57,7 @@ class TestCycleExact:
         p = OttoParams(lambda_c=1.0, lambda_h=1.0, b_c=1.0, b_h=0.5)
         res = cycle_exact(w, p)
         assert res.work_extracted == 0.0
-        assert res.efficiency == 0.0
+        assert p.efficiency == 0.0
 
     def test_single_temperature_no_extraction(self):
         w = symmetric_weights(SpinEnsemble(2, 1))
@@ -103,10 +103,9 @@ class TestCycleExact:
             w = symmetric_weights(SpinEnsemble(n, int(rng.integers(1, 4))))
             p = OttoParams(*(float(v) for v in rng.uniform(0.1, 3.0, size=4)))
             res = cycle_exact(w, p)
-            assert res.efficiency == pytest.approx(1.0 - p.lambda_c / p.lambda_h, abs=1e-14)
             if abs(res.heat_hot) > 1e-12:
                 assert res.work_extracted / res.heat_hot == pytest.approx(
-                    res.efficiency, abs=1e-12
+                    p.efficiency, abs=1e-12
                 )
 
     def test_positive_work_iff_extraction_regime(self):

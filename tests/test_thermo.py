@@ -11,6 +11,7 @@ from spinheat.sectors import (
     symmetric_weights,
     thermal_product_weights,
 )
+from spinheat.special import xcsch2
 from spinheat.thermo import (
     block_energy,
     block_heat_capacity,
@@ -167,6 +168,27 @@ class TestBlockHeatCapacity:
         assert block_heat_capacity(2000, 900.0) == 0.0  # true value below fp floor
         assert math.isfinite(block_heat_capacity(2000, 1e-8))
 
+    @pytest.mark.parametrize("b", [1e154, 1e200, 1e308, math.inf])
+    def test_finite_at_extreme_b(self, b):
+        # 4 x^2 overflows past x ~ 1.3e154 while e^{-2x} is already 0
+        ens = SpinEnsemble(5, 3)
+        w = thermal_product_weights(ens, 0.5)
+        for sb in (b, -b):
+            caps = [block_heat_capacity(tj, sb) for tj in (1, 2, 15)]
+            caps += [collective_heat_capacity(w, sb).c_over_kb,
+                     independent_heat_capacity(ens, sb).c_over_kb]
+            assert all(math.isfinite(c) and c >= 0.0 for c in caps)
+
+    def test_xcsch2_matches_closed_form(self):
+        # the underflow guard leaves every finite value of the formula as it was
+        for x in np.geomspace(1e-6, 400.0, 301):
+            x = float(x)
+            d = -math.expm1(-2.0 * x)
+            assert xcsch2(x) == 4.0 * x * x * math.exp(-2.0 * x) / (d * d)
+        assert xcsch2(0.0) == 1.0
+        assert xcsch2(1e200) == 0.0
+        assert xcsch2(-math.inf) == 0.0
+
 
 class TestEnsembleQuantities:
     def test_symmetric_small_b_slope(self):
@@ -268,7 +290,15 @@ class TestCriticalTemperature:
         rhs = ens.n * block_heat_capacity(ens.two_s, b)
         assert lhs == pytest.approx(rhs, rel=1e-10)
 
-    @pytest.mark.parametrize("n,two_s", [(2, 1), (2, 9), (100, 1), (100, 9)])
+    @pytest.mark.parametrize("n,two_s", [(10**4, 1), (5 * 10**6, 1), (10**6, 3)])
+    def test_large_ensembles_resolve(self, n, two_s):
+        # the gap's rounding floor grows like n eps, and at n = 5e6 the root
+        # lies below b = 1e-3
+        ens = SpinEnsemble(n, two_s)
+        approx = critical_temperature_approx(ens)
+        assert abs(critical_temperature_numeric(ens) - approx) / approx < 1e-3
+
+    @pytest.mark.parametrize("n,two_s", [(2, 1), (2, 9), (100, 1), (100, 9), (2, 5000)])
     def test_closed_form_agrees_within_ten_percent(self, n, two_s):
         ens = SpinEnsemble(n, two_s)
         approx = critical_temperature_approx(ens)

@@ -63,6 +63,14 @@ def _ratio(num: float, den: float, limit: float) -> float:
     return limit if den == 0.0 else num / den
 
 
+def _per_b2(c: float, b: float) -> float:
+    """c / b**2; 0.0 where b**2 overflows (|b| > ~1.3e154), as c / inf would be."""
+    try:
+        return c / b**2
+    except OverflowError:
+        return 0.0
+
+
 # Every quantity is a function of the collective and independent capacities at
 # one grid point x, b = 1/x: quantity -> (x column, value columns,
 # values(c_col, c_ind, n, b, x, nu)).
@@ -76,9 +84,9 @@ _QUANTITIES = {
     "precision-ratio": (_T, ("precision_ratio",), lambda c_col, c_ind, n, b, x, nu: [
         math.sqrt(_fisher(c_ind, x) / _fisher(c_col, x))]),
     "work": (_TH, ("w_col", "w_ind"),
-             lambda c_col, c_ind, n, b, x, nu: [c_col / b**2, c_ind / b**2]),
+             lambda c_col, c_ind, n, b, x, nu: [_per_b2(c_col, b), _per_b2(c_ind, b)]),
     "power": (_TH, ("p_col", "p_ind"),
-              lambda c_col, c_ind, n, b, x, nu: [n * c_col / b**2, c_ind / b**2]),
+              lambda c_col, c_ind, n, b, x, nu: [_per_b2(n * c_col, b), _per_b2(c_ind, b)]),
     "power-ratio": (_TH, ("power_ratio",),
                     lambda c_col, c_ind, n, b, x, nu: [_ratio(n * c_col, c_ind, 1.0)]),
 }

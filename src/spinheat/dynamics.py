@@ -11,6 +11,7 @@ balance g_up = exp(-b) g_down so each ladder relaxes to its Gibbs vector.
 from __future__ import annotations
 
 import math
+from collections.abc import Iterable, Iterator, Mapping
 from dataclasses import dataclass
 
 import numpy as np
@@ -40,11 +41,24 @@ __all__ = [
 ]
 
 # Block size above which `evolve` trades dense expm for a Krylov semigroup
-# action. For one propagation Krylov measured faster or even above it: at 1001
-# levels, b = 2, one BLAS thread, 0.12 / 1.2 / 4.3 s of CPU against 2.1 / 2.3 /
-# 3.9 s dense for t*gap = 0.1 / 1 / 5. `relaxation_time` propagates many times
-# and keeps its propagators dense at every size.
+# action. At 1001 levels, b = 2, one BLAS thread, one propagation took 0.09 /
+# 0.98 / 3.28 s of CPU by Krylov against 0.71 / 0.70 / 0.88 s dense (subnormal
+# entries dropped; 1.75 / 2.02 / 3.66 s with them) for t*gap = 0.1 / 1 / 5:
+# Krylov wins short steps and needs no dim^2 storage. `relaxation_time`
+# propagates many times and keeps its propagators dense at every size.
 _DENSE_EXPM_CAP = 512
+
+# Higham's (2005) bound on ||A t||_1 up to which the degree-13 Pade
+# approximant needs no scaling.
+_THETA_13 = 5.371920351148152
+
+# Propagator entries below this magnitude are zeroed. Off-diagonals of
+# exp(A t) on stiff ladders decay like e^(-bJ), deep into the subnormal
+# range, where one BLAS squaring of 201 levels (b = 5) ran 9x slower: 3.6 ms
+# with 365 subnormal entries against 0.40 ms without. No product of two kept
+# entries is subnormal, and exp(A t) is non-negative and column-stochastic,
+# so a flush moves a column's mass by at most dim * _FLUSH.
+_FLUSH = math.sqrt(np.finfo(float).tiny)
 
 # relative width of the final relaxation-time bracket
 _RESOLUTION = 1e-3
@@ -105,25 +119,57 @@ def ladder_generator(two_j: int, rates: RatePair) -> np.ndarray:
     return a
 
 
+class _LadderBlocks(Mapping):
+    """Read-only map two_j -> ladder_generator(two_j, rates), each block built when first read.
+
+    A dense block costs (2J+1)^2 floats, and most callers read only the
+    populated sectors: building all 501 blocks at n = 1000, s = 1/2 took
+    1.5 s and 1.1 GB where relaxing the symmetric sector reads one. Every
+    read returns the same array, so it is made read-only.
+    """
+
+    def __init__(self, two_js: Iterable[int], rates: RatePair):
+        self._rates = rates
+        self._built: dict[int, np.ndarray | None] = dict.fromkeys(two_js)
+
+    def __getitem__(self, two_j: int) -> np.ndarray:
+        a = self._built[two_j]
+        if a is None:
+            a = self._built[two_j] = ladder_generator(two_j, self._rates)
+            a.flags.writeable = False
+        return a
+
+    def __contains__(self, two_j) -> bool:
+        return two_j in self._built
+
+    def __iter__(self) -> Iterator[int]:
+        return iter(self._built)
+
+    def __len__(self) -> int:
+        return len(self._built)
+
+
 @dataclass(frozen=True)
 class RateGenerator:
     """Block-diagonal generator: one ladder matrix per total-spin sector."""
 
-    blocks: dict[int, np.ndarray]
+    blocks: Mapping[int, np.ndarray]
     rates: RatePair
 
 
 def collective_generator(ensemble: SpinEnsemble, rates: RatePair) -> RateGenerator:
-    """Collective-dissipation generator over every sector of the ensemble."""
+    """Collective-dissipation generator over every sector of the ensemble.
+
+    `blocks` lists every sector; a sector's dense ladder is built the first
+    time it is read.
+    """
     table = sector_multiplicities(ensemble)
-    return RateGenerator(
-        {tj: ladder_generator(tj, rates) for tj in table.multiplicities}, rates
-    )
+    return RateGenerator(_LadderBlocks(table.multiplicities, rates), rates)
 
 
 def independent_generator(two_s: int, rates: RatePair) -> RateGenerator:
     """Single-spin generator; n independent spins are n copies of it."""
-    return RateGenerator({two_s: ladder_generator(two_s, rates)}, rates)
+    return RateGenerator(_LadderBlocks((two_s,), rates), rates)
 
 
 @dataclass(frozen=True)
@@ -197,11 +243,37 @@ def stationary_state(state: PopulationState, rates: RatePair) -> PopulationState
     )
 
 
-def _ladder(generator: RateGenerator, two_j: int) -> np.ndarray:
-    a = generator.blocks.get(two_j)
-    if a is None:
-        raise ValueError(f"generator has no block for sector two_j={two_j}")
-    return a
+def _flush(e: np.ndarray) -> np.ndarray:
+    """Zero, in place, every entry of e below _FLUSH in magnitude."""
+    e[np.abs(e) < _FLUSH] = 0.0
+    return e
+
+
+def _square(e: np.ndarray) -> np.ndarray:
+    """e @ e without entries below _FLUSH, so the next product makes no subnormal."""
+    return _flush(e @ e)
+
+
+def _propagator(a: np.ndarray, t: float) -> np.ndarray:
+    """exp(a t) for a ladder generator a, by scaling and squaring without subnormals.
+
+    Columns of a sum to zero and its off-diagonals are non-negative, so
+    ||a t||_1 = 2 t max|a_ii| with no norm pass. scipy's expm evaluates the
+    Pade approximant at t / 2^k, with k the fewest halvings that bring the
+    norm to _THETA_13, and the k squarings follow through _square.
+    """
+    norm = 2.0 * t * float(np.max(np.abs(np.diagonal(a))))
+    k = math.ceil(math.log2(norm / _THETA_13)) if norm > _THETA_13 else 0
+    e = _flush(expm(a * (t / 2.0**k)))
+    for _ in range(k):
+        e = _square(e)
+    return e
+
+
+def _check_sectors(state: PopulationState, generator: RateGenerator) -> None:
+    for tj in state.blocks:
+        if tj not in generator.blocks:
+            raise ValueError(f"generator has no block for sector two_j={tj}")
 
 
 def evolve(state: PopulationState, generator: RateGenerator, t: float) -> PopulationState:
@@ -212,6 +284,10 @@ def evolve(state: PopulationState, generator: RateGenerator, t: float) -> Popula
     with ||A t|| growing like J, and a Krylov action (Al-Mohy & Higham 2011)
     needs many more steps there than squaring does. Larger blocks take the
     Krylov action, where the O(dim^3) dense cost dominates instead.
+    The dense propagator drops entries below sqrt(tiny) (about 1.5e-154)
+    after the Pade step and after each squaring: left in, the subnormal far
+    off-diagonals of stiff ladders made each squaring about 9x slower, and
+    dropping them moves a column's mass by at most dim * 1.5e-154.
     Negative roundoff is clipped, and each sector is rescaled to its input
     mass, which dense expm lets drift with ||A t|| (by 1e-12 at ~1e5).
     """
@@ -219,11 +295,12 @@ def evolve(state: PopulationState, generator: RateGenerator, t: float) -> Popula
         raise ValueError(f"cannot evolve backwards, t={t}")
     if t == 0.0:
         return state
+    _check_sectors(state, generator)
     blocks = {}
     for tj, p in state.blocks.items():
-        a = _ladder(generator, tj)
+        a = generator.blocks[tj]
         if a.shape[0] <= _DENSE_EXPM_CAP:
-            q = expm(a * t) @ p
+            q = _propagator(a, t) @ p
         else:
             q = expm_multiply(a * t, p)
         q = np.clip(q, 0.0, None)
@@ -247,11 +324,12 @@ def spectral_gap(state: PopulationState, generator: RateGenerator) -> float:
 
     math.inf when every populated sector is trivially stationary (J = 0).
     """
+    _check_sectors(state, generator)
     gap = math.inf
     for tj, p in state.blocks.items():
-        a = _ladder(generator, tj)
         if tj == 0 or float(np.sum(p)) <= _MASS_TOL:
             continue
+        a = generator.blocks[tj]
         off = np.sqrt(np.diagonal(a, 1) * np.diagonal(a, -1))
         vals = eigvalsh_tridiagonal(np.diagonal(a), off)
         gap = min(gap, -float(vals[-2]))
@@ -287,7 +365,10 @@ def relaxation_time(
     ladders of 25 to 71 levels, and about 12x slower at 1001, where the
     dense levels doubled peak memory. A crossing before h can need finer
     steps; each finer floor then costs one more expm, placed at the finest
-    step the bracket still allows.
+    step the bracket still allows. Every level drops its entries below
+    sqrt(tiny) (about 1.5e-154): the far off-diagonals decay like e^(-bJ)
+    into the subnormal range, where squaring runs about 9x slower, and the
+    dropped mass is at most dim * 1.5e-154 per column.
     """
     if not 0.0 < epsilon < 1.0:
         raise ValueError(f"epsilon must be in (0, 1), got {epsilon}")
@@ -310,7 +391,7 @@ def relaxation_time(
         return math.floor(math.log2(_RESOLUTION * t_lo / h))
 
     def expm_level(k: int) -> dict[int, np.ndarray]:
-        return {tj: expm(generator.blocks[tj] * (h * 2.0**k)) for tj in p_lo}
+        return {tj: _propagator(generator.blocks[tj], h * 2.0**k) for tj in p_lo}
 
     # levels[i] holds exp(A_J h 2^(floor + i)) for every populated ladder
     floor = finest(h)
@@ -319,7 +400,7 @@ def relaxation_time(
     def step(k: int, blocks: dict[int, np.ndarray]) -> dict[int, np.ndarray]:
         """Populations a time h 2^k after `blocks`; needs k >= floor."""
         while len(levels) <= k - floor:
-            levels.append({tj: e @ e for tj, e in levels[-1].items()})
+            levels.append({tj: _square(e) for tj, e in levels[-1].items()})
         del levels[k - floor + 1:]  # bisection only steps down
         return {tj: np.clip(levels[-1][tj] @ p, 0.0, None) for tj, p in blocks.items()}
 

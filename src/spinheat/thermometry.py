@@ -90,6 +90,11 @@ def qfi(weights: BlockWeights, b: float) -> FisherResult:
     return FisherResult(closed)
 
 
+def _times_b2(b: float, total: float) -> float:
+    """b^2 times a Fisher sum; 0.0 for a zero sum, also where b * b overflows."""
+    return b * b * total if total != 0.0 else 0.0
+
+
 def _ladder_moments(weights: BlockWeights, a: float):
     """Arrays over sectors of two_j, p_J, Z_J, <k>_J and <k^2>_J on Gibbs ladders at b = a >= 0.
 
@@ -155,7 +160,7 @@ def fisher_energy_measurement(weights: BlockWeights, b: float) -> FisherResult:
     i, up = i[seen], up[seen]
     prob = np.exp(-a * up) * big_a[i]
     score = (big_m[i] - big_c[i]) / big_a[i] - up
-    return FisherResult(b * b * float(np.dot(prob, score * score)))
+    return FisherResult(_times_b2(b, float(np.dot(prob, score * score))))
 
 
 def fisher_collective_projection(weights: BlockWeights, b: float) -> FisherResult:
@@ -169,7 +174,7 @@ def fisher_collective_projection(weights: BlockWeights, b: float) -> FisherResul
     simply adds nothing.
     """
     _, p, _, mu, k2 = _ladder_moments(weights, abs(b))
-    return FisherResult(b * b * float(np.dot(p, k2 - mu * mu)))
+    return FisherResult(_times_b2(b, float(np.dot(p, k2 - mu * mu))))
 
 
 def min_relative_stddev(weights: BlockWeights, b: float, nu: int = 1) -> PrecisionBound:

@@ -32,7 +32,9 @@ _DYNAMICS = ("dynamics", "--n", "4", "--spin", "1/2", "--weights", "thermal=0.5"
 # quantity table, row builder and output writer were merged: any changed byte
 # in a figure preset, sweep column, trailing line or JSON document shows here.
 # The `_DYNAMICS` digest was re-pinned once `evolve` rescaled each sector to
-# its input mass: its population rows moved by at most 8.9e-16 absolute.
+# its input mass: its population rows moved by at most 8.9e-16 absolute. It
+# was re-pinned again once propagators dropped entries below sqrt(tiny): three
+# cells of the t = 2.5 row moved, by at most 4.2e-17 absolute.
 GOLDEN_DIGESTS = {
     ("figure", "1a"):
         "49827d3618576ac10005daa20bc376a45bbf1a0fcbbec24dae15033726dbb16f",
@@ -99,7 +101,7 @@ GOLDEN_DIGESTS = {
     ("tcr", "--spin", "1/2", "--grid", "2:300:7:log"):
         "ae037243d7c616c4bedbed8282df279e2ea04e6d83f311f3ae32f00afda52839",
     _DYNAMICS:
-        "418d12b3106d17bdffef688e8e4286e5847bac023df78fffbb6a238f107309ce",
+        "6a33f86e0558d61999962144a749b208f62f2ea68b9845d2c2eee2a52e2b4730",
     _DYNAMICS + ("--oracle",):
         "1506fc5465323b314d9c3bf139d030cdb8716cba24a691475a1450407fdfcf21",
 }
@@ -212,6 +214,15 @@ class TestSweep:
         rc, _, err = run(capsys, *argv, "precision")
         assert rc == 3
         assert "vanished" in err
+
+    @pytest.mark.parametrize("quantity", ["work", "power"])
+    @pytest.mark.parametrize("grid", ["1e-160:1e-150:2:log", "1e-320:1e-310:2:log"])
+    def test_zero_temperature_work_and_power(self, capsys, grid, quantity):
+        # b**2 overflows past b ~ 1.3e154, where the capacities are already 0.0
+        rc, out, _ = run(capsys, "sweep", "--n", "3", "--spin", "1/2", "--grid", grid,
+                         "--quantity", quantity)
+        assert rc == 0
+        assert [row[1:] for row in parse_csv(out)[1]] == [[0.0, 0.0], [0.0, 0.0]]
 
     def test_thermal_weights(self, capsys):
         rc, out, _ = run(

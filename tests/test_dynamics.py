@@ -7,11 +7,14 @@ import scipy.linalg
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from spinheat import dynamics
 from spinheat.dynamics import (
     _DENSE_EXPM_CAP,
     ConvergenceError,
     PopulationState,
     RatePair,
+    _propagator,
+    _square,
     aligned_state,
     collective_generator,
     evolve,
@@ -24,7 +27,13 @@ from spinheat.dynamics import (
     transition_rate_range,
     uniform_state,
 )
-from spinheat.sectors import BlockWeights, SpinEnsemble, symmetric_weights, thermal_product_weights
+from spinheat.sectors import (
+    BlockWeights,
+    SpinEnsemble,
+    sector_multiplicities,
+    symmetric_weights,
+    thermal_product_weights,
+)
 from spinheat.special import ladder_boltzmann
 
 
@@ -414,6 +423,103 @@ class TestTridiagonalPaths:
         gen = independent_generator(two_j, RatePair.thermal(2.0))
         state0 = aligned_state(symmetric_weights(SpinEnsemble(1, two_j)), excited=True)
         assert_brackets(state0, gen, relaxation_time(state0, gen))
+
+
+def ladder_starts(two_j, b):
+    """Top, bottom and Gibbs populations of one ladder at bath b."""
+    top, bottom = np.zeros(two_j + 1), np.zeros(two_j + 1)
+    top[-1] = bottom[0] = 1.0
+    return {"top": top, "bottom": bottom, "gibbs": ladder_boltzmann(two_j, b)}
+
+
+def settle(q, p):
+    """q clipped at zero and rescaled to p's mass, as evolve leaves it."""
+    q = np.clip(q, 0.0, None)
+    return q * (np.sum(p) / np.sum(q))
+
+
+def worst_l1_from_expm(two_j, b, propagate):
+    """Largest l1 distance between propagate(generator, t, p) and expm(a t) p,
+    both settled, over three starts and t*gap in {1e-3, 0.5, 2, 50}."""
+    gen = independent_generator(two_j, RatePair.thermal(b))
+    starts = ladder_starts(two_j, b)
+    a = gen.blocks[two_j]
+    gap = spectral_gap(PopulationState({two_j: starts["top"]}), gen)
+    worst = 0.0
+    for t in (1e-3 / gap, 0.5 / gap, 2.0 / gap, 50.0 / gap):
+        e = scipy.linalg.expm(a * t)
+        for p in starts.values():
+            got = settle(propagate(gen, t, p), p)
+            worst = max(worst, float(np.sum(np.abs(got - settle(e @ p, p)))))
+    return worst
+
+
+def evolve_ladder(gen, t, p):
+    return evolve(PopulationState({len(p) - 1: p}), gen, t).blocks[len(p) - 1]
+
+
+def dense_ladder(gen, t, p):
+    return _propagator(gen.blocks[len(p) - 1], t) @ p
+
+
+class TestSubnormalFlush:
+    """Propagators drop entries below sqrt(tiny) and otherwise match scipy's expm."""
+
+    @pytest.mark.parametrize("b", [0.5, 2.0, 5.0, 20.0])
+    @pytest.mark.parametrize("two_j", [1, 7, 70, 200])
+    def test_evolve_matches_scipy_expm(self, two_j, b):
+        assert worst_l1_from_expm(two_j, b, evolve_ladder) <= 1e-14
+
+    @pytest.mark.parametrize("b", [0.5, 2.0, 5.0, 20.0])
+    def test_dense_propagator_above_cap(self, b):
+        # evolve takes its Krylov branch here; relaxation_time's levels are dense
+        two_j = 521
+        assert two_j + 1 > _DENSE_EXPM_CAP
+        assert worst_l1_from_expm(two_j, b, dense_ladder) <= 1e-14
+
+    def test_planted_flush_threshold_fails(self, monkeypatch):
+        monkeypatch.setattr(dynamics, "_FLUSH", 1e-10)
+        assert worst_l1_from_expm(70, 0.5, evolve_ladder) > 1e-14
+
+    def test_square_leaves_no_subnormal(self):
+        a = ladder_generator(200, RatePair.thermal(5.0))
+
+        def subnormals(e):
+            return int(np.sum((np.abs(e) < np.finfo(float).tiny) & (e != 0.0)))
+
+        e, raw = _propagator(a, 1e-3), scipy.linalg.expm(a * 1e-3)
+        raw_subnormals = subnormals(raw)
+        for _ in range(8):
+            e, raw = _square(e), raw @ raw
+            assert subnormals(e) == 0
+            raw_subnormals += subnormals(raw)
+        assert raw_subnormals > 0  # plain squaring of the same levels does make them
+
+
+class TestLazyGenerator:
+    def test_relaxation_builds_only_the_populated_ladder(self, monkeypatch):
+        built = []
+
+        def counted(two_j, rates):
+            built.append(two_j)
+            return ladder_generator(two_j, rates)
+
+        monkeypatch.setattr(dynamics, "ladder_generator", counted)
+        ens = SpinEnsemble(40, 1)
+        gen = collective_generator(ens, RatePair.thermal(2.0))
+        assert sorted(gen.blocks) == sorted(sector_multiplicities(ens).multiplicities)
+        assert len(gen.blocks) == 21 and 38 in gen.blocks and 41 not in gen.blocks
+        assert built == []
+        relaxation_time(aligned_state(symmetric_weights(ens), excited=True), gen)
+        assert built == [40]
+
+    def test_blocks_are_read_only(self):
+        gen = collective_generator(SpinEnsemble(4, 1), RatePair.thermal(1.0))
+        with pytest.raises(TypeError):
+            gen.blocks[4] = np.zeros((5, 5))
+        assert gen.blocks[4] is gen.blocks[4]
+        with pytest.raises(ValueError, match="read-only"):
+            gen.blocks[4][0, 0] = 1.0
 
 
 # (case, time, gap), pinned bit for bit: relaxation_time's propagators come

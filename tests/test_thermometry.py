@@ -257,6 +257,13 @@ class TestPrefixSumKernels:
             assert fisher_energy_measurement(w, b).value == pytest.approx(energy, rel=1e-12)
             assert fisher_collective_projection(w, b).value == pytest.approx(projection, rel=1e-12)
 
+    @pytest.mark.parametrize("b", [1.4e154, -1.4e154, 1e200, -1e200])
+    def test_zero_past_b_squared_overflow(self, b):
+        # b * b overflows to inf there, and the Fisher sums are 0.0
+        w = thermal_product_weights(SpinEnsemble(4, 1), 0.5)
+        assert fisher_energy_measurement(w, b).value == 0.0
+        assert fisher_collective_projection(w, b).value == 0.0
+
 
 class TestPrecisionBound:
     def test_two_level_value(self):

@@ -281,8 +281,9 @@ def _rows(quantity, curves, grid, nu, extra=None) -> list[list[float]]:
 def _exact_cycle_columns(args) -> list[str]:
     """Names of the exact-cycle columns a work or power sweep adds; none without cycle flags.
 
-    Cycle flags on another quantity, an incomplete set, or both --lambda-c
-    and --delta-eta are usage errors rather than flags silently ignored.
+    Cycle flags on another quantity, an incomplete set, both --lambda-c and
+    --delta-eta, or a value that is not finite (or not > 0, --delta-eta
+    aside) are usage errors named by their flag.
     """
     flags = {"--lambda-h": args.lambda_h, "--lambda-c": args.lambda_c, "--bc": args.bc,
              "--delta-eta": args.delta_eta}
@@ -295,6 +296,13 @@ def _exact_cycle_columns(args) -> list[str]:
     if args.lambda_h is None or args.bc is None or not one_lambda_c:
         raise CliError("exact-cycle columns need --lambda-h, --bc and exactly one of "
                        f"--lambda-c or --delta-eta, got {given}")
+    for flag, value in flags.items():
+        if value is None:
+            continue
+        if not math.isfinite(value):
+            raise CliError(f"{flag} must be finite, got {value}")
+        if value <= 0.0 and flag != "--delta-eta":
+            raise CliError(f"{flag} must be > 0, got {value}")
     return ["W_col_exact", "W_ind_exact"] if args.quantity == "work" else ["P_col_exact", "P_ind_exact"]
 
 
@@ -551,7 +559,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--epsilon", type=float, default=1e-3, help="TV threshold for the relaxation time")
     p.add_argument("--init", default="auto", help="auto | top | bottom | uniform | gibbs:<b0>")
     p.add_argument("--populations", action="store_true", help="include per-(J,m) population columns")
-    p.add_argument("--oracle", action="store_true", help="integrate the dense master equation instead")
+    p.add_argument("--oracle", action="store_true", help="propagate the dense master equation (sparse Liouvillian) instead")
     _add_common(p)
     p.set_defaults(func=cmd_dynamics)
 

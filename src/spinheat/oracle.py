@@ -1,7 +1,8 @@
 """Dense product-basis reference implementation for small ensembles.
 
 Builds the collective operators and the full total-spin eigenstructure
-explicitly, and integrates the complete master equation, so that the fast
+explicitly, and propagates the complete master equation by the action of its
+sparse Liouvillian (scipy's `expm_multiply`), so that the fast
 sector-population code can be validated against an entirely independent
 route. Capped at Hilbert dimension 64; the package guarantees nothing above
 that and raises.
@@ -14,8 +15,8 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
-from scipy.integrate import solve_ivp
-from scipy.linalg import expm
+from scipy import sparse
+from scipy.sparse.linalg import expm_multiply
 
 from .dynamics import ConvergenceError, PopulationState, RatePair
 from .special import ladder_boltzmann, ladder_two_m
@@ -212,64 +213,41 @@ def expected_steady_state(rho0: DensityMatrix, rates: RatePair) -> DensityMatrix
     return DensityMatrix(rho0.ensemble, _hermitize(out))
 
 
-def _rhs_factory(ensemble: SpinEnsemble, rates: RatePair):
-    _, jp, jm = collective_operators(ensemble)
+def _liouvillian(ensemble: SpinEnsemble, rates: RatePair) -> sparse.csr_matrix:
+    """Sparse superoperator of the collective dissipator on row-major vec(rho)."""
+    _, jp, jm = (sparse.csr_matrix(a) for a in collective_operators(ensemble))
+    eye = sparse.identity(ensemble.dim, format="csr")
     jpjm = jp @ jm
     jmjp = jm @ jp
-    dim = ensemble.dim
 
-    def rhs(_t, y):
-        rho = y.reshape(dim, dim)
-        out = rates.g_down * (jm @ rho @ jp - 0.5 * (jpjm @ rho + rho @ jpjm))
-        out += rates.g_up * (jp @ rho @ jm - 0.5 * (jmjp @ rho + rho @ jmjp))
-        return out.ravel()
+    def sandwich(a, b):  # vec(A rho B) = (A kron B^T) vec(rho), row-major
+        return sparse.kron(a, b.T, format="csr")
 
-    return rhs
+    down = sandwich(jm, jp) - 0.5 * (sandwich(jpjm, eye) + sandwich(eye, jpjm))
+    up = sandwich(jp, jm) - 0.5 * (sandwich(jmjp, eye) + sandwich(eye, jmjp))
+    return rates.g_down * down + rates.g_up * up
+
+
+def _propagate(liou: sparse.csr_matrix, rho: DensityMatrix, t: float) -> DensityMatrix:
+    """exp(L t) applied to rho."""
+    vec = expm_multiply(liou * t, rho.matrix.ravel())
+    return DensityMatrix(rho.ensemble, _hermitize(vec.reshape(rho.ensemble.dim, -1)))
 
 
 def trajectory(
     rho0: DensityMatrix, rates: RatePair, times: np.ndarray
 ) -> list[DensityMatrix]:
-    """Integrate the full master equation through the given times (ascending, from 0)."""
-    times = np.asarray(times, dtype=float)
-    if times.size == 0:
-        return []
-    if times[0] < 0.0 or np.any(np.diff(times) < 0.0):
+    """Propagate the full master equation through the given times (ascending, from 0)."""
+    steps = np.diff(np.asarray(times, dtype=float), prepend=0.0)
+    if np.any(steps < 0.0):
         raise ValueError("times must be ascending and nonnegative")
-    rhs = _rhs_factory(rho0.ensemble, rates)
-    y0 = rho0.matrix.astype(complex).ravel()
-    span = (0.0, float(times[-1]) if times[-1] > 0.0 else 1.0)
-    sol = solve_ivp(
-        rhs, span, y0, t_eval=times, method="DOP853", rtol=1e-10, atol=1e-12
-    )
-    if not sol.success:
-        raise ConvergenceError(f"master-equation integration failed: {sol.message}")
-    dim = rho0.ensemble.dim
-    return [
-        DensityMatrix(rho0.ensemble, _hermitize(sol.y[:, k].reshape(dim, dim)))
-        for k in range(sol.y.shape[1])
-    ]
-
-
-# above this Hilbert dimension the dense superoperator (dim^2 x dim^2) is too
-# big to exponentiate comfortably and steady_state falls back to integration
-_SUPEROP_DIM_CAP = 32
-
-
-def _liouvillian_matrix(ensemble: SpinEnsemble, rates: RatePair) -> np.ndarray:
-    """Dense superoperator of the collective dissipator on row-major vec(rho)."""
-    _, jp, jm = collective_operators(ensemble)
-    dim = ensemble.dim
-    eye = np.eye(dim)
-    jpjm = jp @ jm
-    jmjp = jm @ jp
-
-    def sandwich(a, b):  # vec(A rho B) = (A kron B^T) vec(rho), row-major
-        return np.kron(a, b.T)
-
-    down = sandwich(jm, jp) - 0.5 * (sandwich(jpjm, eye) + sandwich(eye, jpjm))
-    up = sandwich(jp, jm) - 0.5 * (sandwich(jmjp, eye) + sandwich(eye, jmjp))
-    return rates.g_down * down + rates.g_up * up
+    liou = _liouvillian(rho0.ensemble, rates)
+    out = []
+    rho = rho0
+    for dt in steps.tolist():
+        rho = _propagate(liou, rho, dt)
+        out.append(rho)
+    return out
 
 
 def steady_state(
@@ -278,31 +256,19 @@ def steady_state(
     """Long-time state of the master equation, propagated until stationary.
 
     Doubling time chunks until one more chunk moves the state by less than
-    tol/10 in trace distance. Small systems go through the exact exponential
-    of the dense superoperator; larger ones fall back to adaptive integration,
-    whose error floor caps how small a movement is detectable.
+    tol/10 in trace distance.
     """
-    ensemble = rho0.ensemble
-    dense = ensemble.dim <= _SUPEROP_DIM_CAP
-    if dense:
-        liou = _liouvillian_matrix(ensemble, rates)
-        threshold = 0.1 * tol
-    else:
-        threshold = max(0.1 * tol, 3e-9)
+    liou = _liouvillian(rho0.ensemble, rates)
     rho = rho0
     t_chunk = 1.0 / rates.g_down
     elapsed = 0.0
     while elapsed < t_max:
-        if dense:
-            vec = expm(liou * t_chunk) @ rho.matrix.ravel()
-            nxt = DensityMatrix(ensemble, _hermitize(vec.reshape(ensemble.dim, -1)))
-        else:
-            nxt = trajectory(rho, rates, np.array([t_chunk]))[0]
+        nxt = _propagate(liou, rho, t_chunk)
         moved = trace_distance(rho, nxt)
         rho = nxt
         elapsed += t_chunk
         t_chunk *= 2.0
-        if moved < threshold:
+        if moved < 0.1 * tol:
             return rho
     raise ConvergenceError(f"no steady state within t = {t_max}/G(omega)")
 

@@ -379,6 +379,20 @@ class TestTridiagonalPaths:
         tol = 1e-9 * gap + 4.0 * kappa * np.finfo(float).eps * np.linalg.norm(a)
         assert abs(gap - re[k]) <= tol
 
+    @settings(max_examples=40, deadline=None, derandomize=True)
+    @given(two_j=st.integers(10, 1000), b=st.floats(0.5, 10.0))
+    @example(two_j=22, b=0.5)  # the largest deficit found on a 0.1-step grid in b
+    def test_large_j_gap_law(self, two_j, b):
+        # near the bottom of a long ladder the rates grow linearly with the
+        # level (the Holstein-Primakoff limit), so the gap tends to
+        # 2J (g_down - g_up) from below; the deficit times 2J measured up to
+        # 5.61 at b = 0.5 and falls about like e^(-b), to 9.1e-5 at b = 10
+        rates = RatePair.thermal(b)
+        gen = independent_generator(two_j, rates)
+        gap = spectral_gap(aligned_state(symmetric_weights(SpinEnsemble(1, two_j))), gen)
+        deficit = 1.0 - gap / (two_j * (rates.g_down - rates.g_up))
+        assert 0.0 <= deficit <= 6.0 * math.exp(0.5 - b) / two_j
+
     def test_gap_at_zero_temperature(self):
         # g_up = 0: triangular generator, spectrum is its diagonal; gap = edge rate 2J
         rates = RatePair(1.0, 0.0)

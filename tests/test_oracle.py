@@ -1,6 +1,12 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
+import spinheat
 from spinheat import oracle
 from spinheat.dynamics import (
     RatePair,
@@ -122,6 +128,46 @@ class TestSteadyState:
             masses = oracle.sector_masses(rho)
             for tj, m0 in masses0.items():
                 assert masses[tj] == pytest.approx(m0, abs=1e-8)
+
+
+# the tiny ensembles the benchmark checks against the oracle: (n, 2s), dim 16-64
+BENCH_TINY = [(4, 1), (3, 2), (2, 3), (6, 1), (3, 3), (2, 7)]
+
+
+class TestSparseRoute:
+    @pytest.mark.parametrize("b", [1.0, 2.0, 5.0])
+    @pytest.mark.parametrize("n,two_s", BENCH_TINY)
+    def test_trajectory_matches_evolve(self, n, two_s, b):
+        ens = SpinEnsemble(n, two_s)
+        rates = RatePair.thermal(b)
+        gen = collective_generator(ens, rates)
+        times = np.array([0.0, 0.4, 1.5, 3.0])
+        for state0 in (aligned_state(symmetric_weights(ens), excited=True),
+                       gibbs_state(thermal_product_weights(ens, 0.6), 0.6)):
+            rho0 = oracle.state_from_populations(state0, ens)
+            for t, rho in zip(times, oracle.trajectory(rho0, rates, times)):
+                got = oracle.sector_populations(rho).blocks
+                for tj, want in evolve(state0, gen, float(t)).blocks.items():
+                    assert np.max(np.abs(got[tj] - want)) < 1e-12
+
+    @pytest.mark.parametrize("n,two_s", [(6, 1), (3, 3), (2, 7)])
+    def test_steady_state_honours_tol_at_dim_64(self, n, two_s):
+        # tol well below the 1e-11 error floor of an adaptive integrator,
+        # which lands 1.1e-11 to 4.6e-11 away on these starts
+        rng = np.random.default_rng(16)
+        ens = SpinEnsemble(n, two_s)
+        rates = RatePair.thermal(1.3)
+        rho0 = random_diagonal_state(rng, ens)
+        ss = oracle.steady_state(rho0, rates, tol=1e-12)
+        assert oracle.trace_distance(ss, oracle.expected_steady_state(rho0, rates)) < 1e-12
+
+    def test_cli_import_leaves_out_scipy_integrate(self):
+        src = str(Path(spinheat.__file__).resolve().parents[1])
+        code = "import sys, spinheat, spinheat.cli; print('scipy.integrate' in sys.modules)"
+        env = dict(os.environ, PYTHONPATH=src)
+        done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                              text=True, check=True)
+        assert done.stdout.strip() == "False"
 
 
 class TestTrajectoryAgainstRateEquations:

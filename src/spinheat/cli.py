@@ -312,6 +312,9 @@ def _exact_cycle_values(args, ensemble, weights, x) -> list[float]:
         lambda_c = args.lambda_c
     else:
         lambda_c = args.lambda_h * (b_h / args.bc + args.delta_eta)
+        if not lambda_c > 0.0:
+            raise CliError(f"--delta-eta {args.delta_eta} drives lambda_c to {lambda_c} <= 0 "
+                           f"at {_TH} = {x}")
     params = OttoParams(lambda_c=lambda_c, lambda_h=args.lambda_h, b_c=args.bc, b_h=b_h)
     w_col = cycle_exact(weights, params, "collective").work_extracted
     w_ind = cycle_exact(weights, params, "independent").work_extracted

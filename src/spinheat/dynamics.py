@@ -16,7 +16,6 @@ from dataclasses import dataclass
 
 import numpy as np
 from scipy.linalg import eigvalsh_tridiagonal, expm
-from scipy.sparse.linalg import expm_multiply
 
 from .sectors import BlockWeights, SpinEnsemble, sector_multiplicities
 from .special import ladder_boltzmann, ladder_two_m
@@ -39,14 +38,6 @@ __all__ = [
     "relaxation_time",
     "transition_rate_range",
 ]
-
-# Block size above which `evolve` trades dense expm for a Krylov semigroup
-# action. At 1001 levels, b = 2, one BLAS thread, one propagation took 0.09 /
-# 0.98 / 3.28 s of CPU by Krylov against 0.71 / 0.70 / 0.88 s dense (subnormal
-# entries dropped; 1.75 / 2.02 / 3.66 s with them) for t*gap = 0.1 / 1 / 5:
-# Krylov wins short steps and needs no dim^2 storage. `relaxation_time`
-# propagates many times and keeps its propagators dense at every size.
-_DENSE_EXPM_CAP = 512
 
 # Higham's (2005) bound on ||A t||_1 up to which the degree-13 Pade
 # approximant needs no scaling.
@@ -279,15 +270,10 @@ def _check_sectors(state: PopulationState, generator: RateGenerator) -> None:
 def evolve(state: PopulationState, generator: RateGenerator, t: float) -> PopulationState:
     """Propagate populations for a time t (units 1/G(omega)).
 
-    Exact semigroup action per sector. Blocks up to _DENSE_EXPM_CAP levels
-    use dense scaling-and-squaring expm (Higham 2005): the ladders are stiff,
-    with ||A t|| growing like J, and a Krylov action (Al-Mohy & Higham 2011)
-    needs many more steps there than squaring does. Larger blocks take the
-    Krylov action, where the O(dim^3) dense cost dominates instead.
-    The dense propagator drops entries below sqrt(tiny) (about 1.5e-154)
-    after the Pade step and after each squaring: left in, the subnormal far
-    off-diagonals of stiff ladders made each squaring about 9x slower, and
-    dropping them moves a column's mass by at most dim * 1.5e-154.
+    Exact semigroup action per sector through _propagator (dense scaling
+    and squaring, Higham 2005, with entries below _FLUSH dropped), the
+    propagator relaxation_time uses, at every ladder size. A sector with no
+    mass is returned as it came, without reading its block.
     Negative roundoff is clipped, and each sector is rescaled to its input
     mass, which dense expm lets drift with ||A t|| (by 1e-12 at ~1e5).
     """
@@ -298,12 +284,10 @@ def evolve(state: PopulationState, generator: RateGenerator, t: float) -> Popula
     _check_sectors(state, generator)
     blocks = {}
     for tj, p in state.blocks.items():
-        a = generator.blocks[tj]
-        if a.shape[0] <= _DENSE_EXPM_CAP:
-            q = _propagator(a, t) @ p
-        else:
-            q = expm_multiply(a * t, p)
-        q = np.clip(q, 0.0, None)
+        if not p.any():
+            blocks[tj] = p
+            continue
+        q = np.clip(_propagator(generator.blocks[tj], t) @ p, 0.0, None)
         mass = np.sum(q)
         blocks[tj] = q * (np.sum(p) / mass) if mass > 0.0 else q
     return PopulationState(blocks)

@@ -569,6 +569,17 @@ class TestExitCodes:
         assert out == ""
         assert f"{flag} must be {why}, got {value}" in err
 
+    def test_delta_eta_driving_lambda_c_below_zero_is_named(self, capsys):
+        # lambda_c = lambda_h (b_h / b_c + delta_eta) = 1 / (2x) - 0.3 is > 0 at x = 1, not at x = 2
+        rc, out, err = run(
+            capsys, "sweep", "--n", "3", "--spin", "1/2", "--quantity", "work",
+            "--lambda-h", "1", "--bc", "2", "--delta-eta", "-0.3", "--grid", "1:4:4:lin",
+        )
+        assert rc == 2
+        assert out == ""
+        assert "--delta-eta -0.3 drives lambda_c to" in err
+        assert "<= 0 at kTh_over_hw_lambda_h = 2.0" in err
+
     @pytest.mark.parametrize("argv", [
         ("--quantity", "heat-capacity", "--lambda-h", "1", "--bc", "2", "--delta-eta", "1e-3"),
         ("--quantity", "precision", "--lambda-c", "0.8"),

@@ -9,7 +9,6 @@ from hypothesis import strategies as st
 
 from spinheat import dynamics
 from spinheat.dynamics import (
-    _DENSE_EXPM_CAP,
     ConvergenceError,
     PopulationState,
     RatePair,
@@ -429,11 +428,8 @@ class TestTridiagonalPaths:
         res = assert_matches_from_scratch(state0, gen)
         assert 0.0 < res.time * res.spectral_gap < 1e-3
 
-    def test_relaxation_above_dense_expm_cap(self):
-        # evolve reads this ladder through its Krylov action; relaxation_time
-        # holds its propagators densely
+    def test_relaxation_on_a_521_level_ladder(self):
         two_j = 520
-        assert two_j + 1 > _DENSE_EXPM_CAP
         gen = independent_generator(two_j, RatePair.thermal(2.0))
         state0 = aligned_state(symmetric_weights(SpinEnsemble(1, two_j)), excited=True)
         assert_brackets(state0, gen, relaxation_time(state0, gen))
@@ -472,24 +468,13 @@ def evolve_ladder(gen, t, p):
     return evolve(PopulationState({len(p) - 1: p}), gen, t).blocks[len(p) - 1]
 
 
-def dense_ladder(gen, t, p):
-    return _propagator(gen.blocks[len(p) - 1], t) @ p
-
-
 class TestSubnormalFlush:
     """Propagators drop entries below sqrt(tiny) and otherwise match scipy's expm."""
 
     @pytest.mark.parametrize("b", [0.5, 2.0, 5.0, 20.0])
-    @pytest.mark.parametrize("two_j", [1, 7, 70, 200])
+    @pytest.mark.parametrize("two_j", [1, 7, 70, 200, 521])
     def test_evolve_matches_scipy_expm(self, two_j, b):
         assert worst_l1_from_expm(two_j, b, evolve_ladder) <= 1e-14
-
-    @pytest.mark.parametrize("b", [0.5, 2.0, 5.0, 20.0])
-    def test_dense_propagator_above_cap(self, b):
-        # evolve takes its Krylov branch here; relaxation_time's levels are dense
-        two_j = 521
-        assert two_j + 1 > _DENSE_EXPM_CAP
-        assert worst_l1_from_expm(two_j, b, dense_ladder) <= 1e-14
 
     def test_planted_flush_threshold_fails(self, monkeypatch):
         monkeypatch.setattr(dynamics, "_FLUSH", 1e-10)
@@ -510,15 +495,21 @@ class TestSubnormalFlush:
         assert raw_subnormals > 0  # plain squaring of the same levels does make them
 
 
+@pytest.fixture
+def built(monkeypatch):
+    """two_j of every ladder block built from here on, in build order."""
+    calls = []
+
+    def counted(two_j, rates):
+        calls.append(two_j)
+        return ladder_generator(two_j, rates)
+
+    monkeypatch.setattr(dynamics, "ladder_generator", counted)
+    return calls
+
+
 class TestLazyGenerator:
-    def test_relaxation_builds_only_the_populated_ladder(self, monkeypatch):
-        built = []
-
-        def counted(two_j, rates):
-            built.append(two_j)
-            return ladder_generator(two_j, rates)
-
-        monkeypatch.setattr(dynamics, "ladder_generator", counted)
+    def test_relaxation_builds_only_the_populated_ladder(self, built):
         ens = SpinEnsemble(40, 1)
         gen = collective_generator(ens, RatePair.thermal(2.0))
         assert sorted(gen.blocks) == sorted(sector_multiplicities(ens).multiplicities)
@@ -526,6 +517,19 @@ class TestLazyGenerator:
         assert built == []
         relaxation_time(aligned_state(symmetric_weights(ens), excited=True), gen)
         assert built == [40]
+
+    def test_evolve_skips_empty_sectors(self, built):
+        # at b0 = 60 the weights of the eight sectors with 2J < 16 underflow to 0
+        ens, t = SpinEnsemble(40, 1), 0.5
+        state0 = gibbs_state(thermal_product_weights(ens, 60.0), 60.0)
+        gen = collective_generator(ens, RatePair.thermal(2.0))
+        got = evolve(state0, gen, t)
+        full = [tj for tj, p in state0.blocks.items() if p.any()]
+        assert len(state0.blocks) - len(full) == 8
+        assert sorted(built) == sorted(full)
+        for tj, p in state0.blocks.items():
+            want = settle(_propagator(gen.blocks[tj], t) @ p, p) if p.any() else np.zeros_like(p)
+            assert np.array_equal(got.blocks[tj], want)
 
     def test_blocks_are_read_only(self):
         gen = collective_generator(SpinEnsemble(4, 1), RatePair.thermal(1.0))

@@ -42,7 +42,7 @@ from .thermo import (
     heat_capacity_ratio,
     independent_heat_capacity,
 )
-from .otto import OttoParams, cycle_exact
+from .otto import OttoParams, cycle_exact, normalized_work
 from . import oracle
 
 K_B = 1.380649e-23  # J/K
@@ -63,14 +63,6 @@ def _ratio(num: float, den: float, limit: float) -> float:
     return limit if den == 0.0 else num / den
 
 
-def _per_b2(c: float, b: float) -> float:
-    """c / b**2; 0.0 where b**2 overflows (|b| > ~1.3e154), as c / inf would be."""
-    try:
-        return c / b**2
-    except OverflowError:
-        return 0.0
-
-
 # Every quantity is a function of the collective and independent capacities at
 # one grid point x, b = 1/x: quantity -> (x column, value columns,
 # values(c_col, c_ind, n, b, x, nu)).
@@ -83,10 +75,10 @@ _QUANTITIES = {
         1.0 / math.sqrt(nu * _fisher(c_col, x)), 1.0 / math.sqrt(nu * _fisher(c_ind, x))]),
     "precision-ratio": (_T, ("precision_ratio",), lambda c_col, c_ind, n, b, x, nu: [
         math.sqrt(_fisher(c_ind, x) / _fisher(c_col, x))]),
-    "work": (_TH, ("w_col", "w_ind"),
-             lambda c_col, c_ind, n, b, x, nu: [_per_b2(c_col, b), _per_b2(c_ind, b)]),
-    "power": (_TH, ("p_col", "p_ind"),
-              lambda c_col, c_ind, n, b, x, nu: [_per_b2(n * c_col, b), _per_b2(c_ind, b)]),
+    "work": (_TH, ("w_col", "w_ind"), lambda c_col, c_ind, n, b, x, nu: [
+        normalized_work(c_col, b), normalized_work(c_ind, b)]),
+    "power": (_TH, ("p_col", "p_ind"), lambda c_col, c_ind, n, b, x, nu: [
+        normalized_work(n * c_col, b), normalized_work(c_ind, b)]),
     "power-ratio": (_TH, ("power_ratio",),
                     lambda c_col, c_ind, n, b, x, nu: [_ratio(n * c_col, c_ind, 1.0)]),
 }
@@ -453,6 +445,7 @@ def cmd_dynamics(args) -> None:
         raise CliError("dynamics times must be >= 0")
     state0 = _initial_state(args, weights, provenance)
     target = stationary_state(state0, rates)
+    # before collective_generator: its multiplicity table took 2.2 s and 989 MB at n = 1e5 (2 vCPUs)
     if args.oracle and ensemble.dim > oracle.DIM_CAP:
         raise CliError(
             f"oracle mode: Hilbert dimension {ensemble.dim} exceeds cap {oracle.DIM_CAP}"

@@ -277,8 +277,8 @@ def evolve(state: PopulationState, generator: RateGenerator, t: float) -> Popula
     Negative roundoff is clipped, and each sector is rescaled to its input
     mass, which dense expm lets drift with ||A t|| (by 1e-12 at ~1e5).
     """
-    if t < 0.0:
-        raise ValueError(f"cannot evolve backwards, t={t}")
+    if not 0.0 <= t < math.inf:
+        raise ValueError(f"t must be finite and >= 0, got t={t}")
     if t == 0.0:
         return state
     _check_sectors(state, generator)

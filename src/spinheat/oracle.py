@@ -29,7 +29,6 @@ __all__ = [
     "product_thermal_state",
     "state_from_populations",
     "sector_isometries",
-    "sector_masses",
     "sector_populations",
     "expected_steady_state",
     "trajectory",
@@ -150,17 +149,6 @@ def sector_isometries(ensemble: SpinEnsemble) -> dict[int, dict[int, np.ndarray]
             ladders[two_m - 2] = v
         iso[two_j] = ladders
     return iso
-
-
-def sector_masses(rho: DensityMatrix) -> dict[int, float]:
-    """Weight Tr[P_J rho] of every total-spin sector."""
-    iso = sector_isometries(rho.ensemble)
-    return {
-        tj: float(
-            sum(np.trace(v.T @ rho.matrix @ v).real for v in ladders.values())
-        )
-        for tj, ladders in iso.items()
-    }
 
 
 def sector_populations(rho: DensityMatrix) -> PopulationState:

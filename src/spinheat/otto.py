@@ -28,6 +28,7 @@ __all__ = [
     "OttoParams",
     "CycleResult",
     "cycle_exact",
+    "normalized_work",
     "work_near_carnot",
     "work_max_bounds",
     "work_saturation_bound",
@@ -121,6 +122,22 @@ def cycle_exact(
     )
 
 
+def normalized_work(c: float, theta_h: float) -> float:
+    """C(theta_h) / theta_h^2, the near-Carnot work per unit prefactor.
+
+    0.0 where theta_h**2 overflows (|theta_h| > ~1.3e154), as c / inf would be.
+    """
+    try:
+        return c / theta_h**2
+    except OverflowError:
+        return 0.0
+
+
+def _work_prefactor(params: OttoParams) -> float:
+    """delta_eta * lambda_h^2 * (b_c - b_h), shared by the near-Carnot work formulas."""
+    return params.delta_eta * params.lambda_h**2 * (params.b_c - params.b_h)
+
+
 def work_near_carnot(
     weights: BlockWeights, params: OttoParams, mode: str = "collective"
 ) -> float:
@@ -135,13 +152,7 @@ def work_near_carnot(
         c = independent_heat_capacity(weights.ensemble, params.theta_h).c_over_kb
     else:
         c = collective_heat_capacity(weights, params.theta_h).c_over_kb
-    return (
-        params.delta_eta
-        * params.lambda_h**2
-        * (params.b_c - params.b_h)
-        * c
-        / params.theta_h**2
-    )
+    return _work_prefactor(params) * normalized_work(c, params.theta_h)
 
 
 def work_max_bounds(
@@ -169,13 +180,7 @@ def work_saturation_bound(params: OttoParams) -> float:
     finite power at the Carnot point.
     """
     th = params.theta_h
-    return (
-        params.delta_eta
-        * params.lambda_h**2
-        * (params.b_c - params.b_h)
-        * xcsch2(0.5 * th)
-        / (th * th)
-    )
+    return _work_prefactor(params) * normalized_work(xcsch2(0.5 * th), th)
 
 
 def critical_spin_number(t_h_over_lambda: float, two_s: int) -> float:

@@ -44,10 +44,6 @@ class SpinEnsemble:
             raise ValueError(f"need two_s >= 1, got two_s={self.two_s}")
 
     @property
-    def s(self) -> float:
-        return 0.5 * self.two_s
-
-    @property
     def two_j_max(self) -> int:
         """Doubled total spin of the symmetric sector, 2*n*s."""
         return self.n * self.two_s
@@ -64,14 +60,6 @@ class SectorTable:
 
     ensemble: SpinEnsemble
     multiplicities: dict[int, int]  # two_j -> l_J
-
-    @property
-    def two_j_min(self) -> int:
-        return min(self.multiplicities)
-
-    @property
-    def two_j_max(self) -> int:
-        return max(self.multiplicities)
 
     def dimension_total(self) -> int:
         """sum_J l_J (2J+1); equals ensemble.dim when the table is consistent."""
@@ -167,9 +155,6 @@ class BlockWeights:
 
     def sorted_items(self) -> list[tuple[int, float]]:
         return sorted(self.weights.items())
-
-    def max_two_j(self) -> int:
-        return max(self.weights)
 
 
 def thermal_product_weights(ensemble: SpinEnsemble, b0: float) -> BlockWeights:

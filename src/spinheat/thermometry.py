@@ -137,6 +137,8 @@ def fisher_energy_measurement(weights: BlockWeights, b: float) -> FisherResult:
     ensembles for |b| up to 30; forming e_J - m directly lost up to 8.6e-3
     relative there (at b = 30, 2e-6 at b = 20).
     """
+    if not math.isfinite(b):  # at +-inf, the 0.0 reached past |b| ~ 1.3e154
+        return FisherResult(math.nan if math.isnan(b) else 0.0)
     a = abs(b)
     two_j, p, z, mu, _ = _ladder_moments(weights, a)
     r = math.exp(-a)
@@ -173,6 +175,8 @@ def fisher_collective_projection(weights: BlockWeights, b: float) -> FisherResul
     outcome probability is divided by, so one that underflows to zero
     simply adds nothing.
     """
+    if not math.isfinite(b):  # at +-inf, the 0.0 reached past |b| ~ 1.3e154
+        return FisherResult(math.nan if math.isnan(b) else 0.0)
     _, p, _, mu, k2 = _ladder_moments(weights, abs(b))
     return FisherResult(_times_b2(b, float(np.dot(p, k2 - mu * mu))))
 

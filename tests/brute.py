@@ -119,7 +119,7 @@ def fisher_energy_by_sector(weights, b):
     """
     if b == 0.0:
         return 0.0
-    tj_top = weights.max_two_j()
+    tj_top = max(weights.weights)
     prob = np.zeros(tj_top + 1)
     dprob = np.zeros(tj_top + 1)
     for tj, p in weights.sorted_items():

@@ -154,11 +154,12 @@ def test_criterion_07_dense_oracle_equivalence():
             settled = oracle.steady_state(rho0, rates, tol=1e-10)
             predicted = oracle.expected_steady_state(rho0, rates)
             assert oracle.trace_distance(settled, predicted) < 1e-7
-            masses0 = oracle.sector_masses(rho0)
+            masses0 = oracle.sector_populations(rho0).sector_masses()
             times = np.linspace(0.0, 2.0, 5)
             for rho in oracle.trajectory(rho0, rates, times):
+                masses = oracle.sector_populations(rho).sector_masses()
                 for tj, m0 in masses0.items():
-                    assert abs(oracle.sector_masses(rho)[tj] - m0) < 1e-8
+                    assert abs(masses[tj] - m0) < 1e-8
     print("ACCEPTANCE 7 (dense oracle equivalence): PASS")
 
 

@@ -420,7 +420,12 @@ class TestDynamics:
         for r1, r2 in zip(rows1, rows2):
             assert r1[1] == pytest.approx(r2[1], abs=1e-6)  # energy column
 
-    def test_oracle_dimension_cap(self, capsys):
+    def test_oracle_dimension_cap(self, capsys, monkeypatch):
+        # checked before the generator, whose multiplicity table is the costly part at large n
+        def fail(*args):
+            raise AssertionError("collective_generator called before the oracle cap check")
+
+        monkeypatch.setattr("spinheat.cli.collective_generator", fail)
         rc, _, err = run(
             capsys, "dynamics", "--n", "7", "--spin", "1/2", "--bh", "2",
             "--grid", "0:1:2:lin", "--oracle",

@@ -224,10 +224,12 @@ class TestEvolve:
         assert st.blocks[2][0] == pytest.approx(1.0, abs=1e-12)
 
     def test_negative_time_rejected(self):
-        w = symmetric_weights(SpinEnsemble(2, 1))
-        gen = collective_generator(SpinEnsemble(2, 1), RatePair.thermal(1.0))
-        with pytest.raises(ValueError):
-            evolve(aligned_state(w), gen, -1.0)
+        for n in (2, 4):
+            w = symmetric_weights(SpinEnsemble(n, 1))
+            gen = collective_generator(SpinEnsemble(n, 1), RatePair.thermal(1.0))
+            for t in (-1.0, math.inf, math.nan):
+                with pytest.raises(ValueError, match="t must be finite and >= 0"):
+                    evolve(aligned_state(w), gen, t)
 
     def test_missing_ladder_rejected(self):
         # the state holds sectors 2J = 1, 3; the generator only 2J = 0, 2

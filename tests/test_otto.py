@@ -8,6 +8,7 @@ from spinheat.otto import (
     critical_compression,
     critical_spin_number,
     cycle_exact,
+    normalized_work,
     power_near_carnot,
     work_max_bounds,
     work_near_carnot,
@@ -157,6 +158,22 @@ class TestNearCarnot:
         got = work_near_carnot(w, p)
         assert got < w_col_max
         assert got == pytest.approx(w_col_max * (1.0 - 1e-4), rel=2e-3)
+
+
+class TestNormalizedWork:
+    def test_is_capacity_over_theta_squared(self):
+        for c, theta in [(0.4, 2.0), (3.0, 1e-3), (1e-30, 700.0), (0.0, 5.0)]:
+            assert normalized_work(c, theta) == c / theta**2
+
+    def test_zero_where_theta_squared_overflows(self):
+        # theta_h = 1e160: theta_h**2 overflows, where the capacity is already 0.0
+        assert normalized_work(0.5, 1e160) == normalized_work(0.5, -1e160) == 0.0
+        p = OttoParams(lambda_c=0.5, lambda_h=1.0, b_c=1e200, b_h=1e160)
+        w = symmetric_weights(SpinEnsemble(3, 1))
+        for mode in ("collective", "independent"):
+            assert work_near_carnot(w, p, mode) == 0.0
+            assert power_near_carnot(SpinEnsemble(3, 1), p, 1.0, mode) == 0.0
+        assert work_saturation_bound(p) == 0.0
 
 
 class TestWorkBounds:

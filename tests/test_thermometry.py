@@ -51,7 +51,7 @@ def outcome_distribution(weights, b):
 
     p(m) = sum_{J >= |m|} p_J e^{-m b} / Z_J over the doubled-m grid.
     """
-    tj_top = weights.max_two_j()
+    tj_top = max(weights.weights)
     two_ms = np.arange(-tj_top, tj_top + 1, 2)
     p = np.zeros_like(two_ms, dtype=float)
     for tj, w in weights.sorted_items():
@@ -81,7 +81,7 @@ def mp_fisher(weights, b, dps=60):
             var = mpmath.fsum(x * (m - e) ** 2 for x, m in zip(q, ms))
             sectors.append((tj, mpmath.mpf(p), q, e, var))
         energy = mpmath.mpf(0)
-        top = weights.max_two_j()
+        top = max(weights.weights)
         for tm in range(-top, top + 1, 2):
             m = mpmath.mpf(tm) / 2
             prob = dprob = mpmath.mpf(0)
@@ -257,12 +257,18 @@ class TestPrefixSumKernels:
             assert fisher_energy_measurement(w, b).value == pytest.approx(energy, rel=1e-12)
             assert fisher_collective_projection(w, b).value == pytest.approx(projection, rel=1e-12)
 
-    @pytest.mark.parametrize("b", [1.4e154, -1.4e154, 1e200, -1e200])
+    @pytest.mark.parametrize("b", [1.4e154, -1.4e154, 1e200, -1e200, math.inf, -math.inf])
     def test_zero_past_b_squared_overflow(self, b):
-        # b * b overflows to inf there, and the Fisher sums are 0.0
+        # b * b overflows to inf there, and the Fisher sums are 0.0, also at b = +-inf
         w = thermal_product_weights(SpinEnsemble(4, 1), 0.5)
         assert fisher_energy_measurement(w, b).value == 0.0
         assert fisher_collective_projection(w, b).value == 0.0
+
+    def test_nan_b_is_nan(self):
+        # NaN propagates, as in collective_heat_capacity
+        w = thermal_product_weights(SpinEnsemble(4, 1), 0.5)
+        assert math.isnan(fisher_energy_measurement(w, math.nan).value)
+        assert math.isnan(fisher_collective_projection(w, math.nan).value)
 
 
 class TestPrecisionBound:

@@ -62,7 +62,6 @@ from .dynamics import (
     collective_generator,
     evolve,
     gibbs_state,
-    independent_generator,
     ladder_generator,
     relaxation_time,
     spectral_gap,

@@ -36,6 +36,7 @@ from .sectors import (
     thermal_product_weights,
 )
 from .thermo import (
+    _capacity_ratio,
     collective_heat_capacity,
     critical_temperature_approx,
     critical_temperature_numeric,
@@ -59,28 +60,24 @@ def _fisher(c: float, x: float) -> float:
     return c
 
 
-def _ratio(num: float, den: float, limit: float) -> float:
-    return limit if den == 0.0 else num / den
-
-
 # Every quantity is a function of the collective and independent capacities at
 # one grid point x, b = 1/x: quantity -> (x column, value columns,
-# values(c_col, c_ind, n, b, x, nu)).
+# values(c_col, c_ind, weights, b, x, nu)).
 _QUANTITIES = {
     "heat-capacity": (_T, ("C_col_over_kB", "C_ind_over_kB"),
-                      lambda c_col, c_ind, n, b, x, nu: [c_col, c_ind]),
+                      lambda c_col, c_ind, w, b, x, nu: [c_col, c_ind]),
     "hc-ratio": (_T, ("hc_ratio",),
-                 lambda c_col, c_ind, n, b, x, nu: [_ratio(c_col, c_ind, 1.0 / n)]),
-    "precision": (_T, ("D_col", "D_ind"), lambda c_col, c_ind, n, b, x, nu: [
+                 lambda c_col, c_ind, w, b, x, nu: [_capacity_ratio(c_col, c_ind, w, b)]),
+    "precision": (_T, ("D_col", "D_ind"), lambda c_col, c_ind, w, b, x, nu: [
         1.0 / math.sqrt(nu * _fisher(c_col, x)), 1.0 / math.sqrt(nu * _fisher(c_ind, x))]),
-    "precision-ratio": (_T, ("precision_ratio",), lambda c_col, c_ind, n, b, x, nu: [
+    "precision-ratio": (_T, ("precision_ratio",), lambda c_col, c_ind, w, b, x, nu: [
         math.sqrt(_fisher(c_ind, x) / _fisher(c_col, x))]),
-    "work": (_TH, ("w_col", "w_ind"), lambda c_col, c_ind, n, b, x, nu: [
+    "work": (_TH, ("w_col", "w_ind"), lambda c_col, c_ind, w, b, x, nu: [
         normalized_work(c_col, b), normalized_work(c_ind, b)]),
-    "power": (_TH, ("p_col", "p_ind"), lambda c_col, c_ind, n, b, x, nu: [
-        normalized_work(n * c_col, b), normalized_work(c_ind, b)]),
-    "power-ratio": (_TH, ("power_ratio",),
-                    lambda c_col, c_ind, n, b, x, nu: [_ratio(n * c_col, c_ind, 1.0)]),
+    "power": (_TH, ("p_col", "p_ind"), lambda c_col, c_ind, w, b, x, nu: [
+        normalized_work(w.ensemble.n * c_col, b), normalized_work(c_ind, b)]),
+    "power-ratio": (_TH, ("power_ratio",), lambda c_col, c_ind, w, b, x, nu: [
+        _capacity_ratio(c_col, c_ind, w, b, w.ensemble.n)]),
 }
 
 # figure presets: quantity, (n, two_s) curves, default grid spec
@@ -263,7 +260,7 @@ def _rows(quantity, curves, grid, nu, extra=None) -> list[list[float]]:
         for ensemble, weights in curves:
             c_col = collective_heat_capacity(weights, b).c_over_kb
             c_ind = independent_heat_capacity(ensemble, b).c_over_kb
-            row += values(c_col, c_ind, ensemble.n, b, x, nu)
+            row += values(c_col, c_ind, weights, b, x, nu)
         if extra is not None:
             row += extra(x)
         rows.append(row)
@@ -445,12 +442,7 @@ def cmd_dynamics(args) -> None:
         raise CliError("dynamics times must be >= 0")
     state0 = _initial_state(args, weights, provenance)
     target = stationary_state(state0, rates)
-    # before collective_generator: its multiplicity table took 2.2 s and 989 MB at n = 1e5 (2 vCPUs)
-    if args.oracle and ensemble.dim > oracle.DIM_CAP:
-        raise CliError(
-            f"oracle mode: Hilbert dimension {ensemble.dim} exceeds cap {oracle.DIM_CAP}"
-        )
-    gen = collective_generator(ensemble, rates) if times.size else None
+    gen = collective_generator(ensemble, rates)
 
     pop_keys = []
     if args.populations:

@@ -11,13 +11,13 @@ balance g_up = exp(-b) g_down so each ladder relaxes to its Gibbs vector.
 from __future__ import annotations
 
 import math
-from collections.abc import Iterable, Iterator, Mapping
+from collections.abc import Iterator, Mapping
 from dataclasses import dataclass
 
 import numpy as np
 from scipy.linalg import eigvalsh_tridiagonal, expm
 
-from .sectors import BlockWeights, SpinEnsemble, sector_multiplicities
+from .sectors import BlockWeights, SpinEnsemble
 from .special import ladder_boltzmann, ladder_two_m
 
 __all__ = [
@@ -28,7 +28,6 @@ __all__ = [
     "ConvergenceError",
     "ladder_generator",
     "collective_generator",
-    "independent_generator",
     "gibbs_state",
     "aligned_state",
     "uniform_state",
@@ -56,6 +55,8 @@ _RESOLUTION = 1e-3
 
 # sector mass at or below which spectral_gap ignores a sector
 _MASS_TOL = 1e-12
+
+_T_MAX = 1e6  # relaxation_time gives up past this time, units 1/G(omega)
 
 
 class ConvergenceError(ArithmeticError):
@@ -88,56 +89,54 @@ class RatePair:
         return math.log(self.g_down / self.g_up)
 
 
-def ladder_generator(two_j: int, rates: RatePair) -> np.ndarray:
-    """Birth-death rate matrix on one spin-J ladder; columns sum to zero.
+def _ladder_rates(two_j: int, rates: RatePair) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(diagonal, up, down) of the spin-J ladder, level i at two_m = -two_j + 2i.
 
-    Entry (i, k) is the rate from level k into level i, with index i holding
-    two_m = -two_j + 2i. The m <-> m+1 link carries the shared factor
-    (J-m)(J+m+1), downward weighted by g_down and upward by g_up.
+    up[i] = g_up (J-m)(J+m+1) is the rate i -> i+1, down[i] the same with g_down for i+1 -> i.
     """
-    dim = two_j + 1
     i = np.arange(two_j)
-    two_m = ladder_two_m(two_j)[:-1]
-    fac = 0.25 * ((two_j - two_m) * (two_j + two_m + 2))
+    fac = (two_j - i) * (i + 1.0)  # (J-m)(J+m+1) at m = -J + i, exact
     up, down = rates.g_up * fac, rates.g_down * fac
-    diag = np.zeros(dim)
+    diag = np.zeros(two_j + 1)
     diag[1:] -= down
     diag[:-1] -= up
-    a = np.zeros((dim, dim))
-    a[i + 1, i] = up
-    a[i, i + 1] = down
-    np.fill_diagonal(a, diag)
+    return diag, up, down
+
+
+def ladder_generator(two_j: int, rates: RatePair) -> np.ndarray:
+    """Birth-death rate matrix of _ladder_rates: entry (i, k) is the rate k -> i; columns sum to 0."""
+    diag, up, down = _ladder_rates(two_j, rates)
+    a = np.diag(diag)
+    f = a.reshape(-1)  # a[i, i+1] is f[1 + i (2J+2)], a[i+1, i] is f[2J+1 + i (2J+2)]
+    f[1::two_j + 2], f[two_j + 1::two_j + 2] = down, up
     return a
 
 
+@dataclass(frozen=True)
 class _LadderBlocks(Mapping):
-    """Read-only map two_j -> ladder_generator(two_j, rates), each block built when first read.
+    """Map two_j -> ladder_generator(two_j, rates) over two_js, built afresh on each read.
 
     A dense block costs (2J+1)^2 floats, and most callers read only the
     populated sectors: building all 501 blocks at n = 1000, s = 1/2 took
-    1.5 s and 1.1 GB where relaxing the symmetric sector reads one. Every
-    read returns the same array, so it is made read-only.
+    1.5 s and 1.1 GB where relaxing the symmetric sector reads one.
     """
 
-    def __init__(self, two_js: Iterable[int], rates: RatePair):
-        self._rates = rates
-        self._built: dict[int, np.ndarray | None] = dict.fromkeys(two_js)
+    two_js: range
+    rates: RatePair
 
     def __getitem__(self, two_j: int) -> np.ndarray:
-        a = self._built[two_j]
-        if a is None:
-            a = self._built[two_j] = ladder_generator(two_j, self._rates)
-            a.flags.writeable = False
-        return a
+        if two_j not in self.two_js:
+            raise KeyError(two_j)
+        return ladder_generator(two_j, self.rates)
 
     def __contains__(self, two_j) -> bool:
-        return two_j in self._built
+        return two_j in self.two_js
 
     def __iter__(self) -> Iterator[int]:
-        return iter(self._built)
+        return iter(self.two_js)
 
     def __len__(self) -> int:
-        return len(self._built)
+        return len(self.two_js)
 
 
 @dataclass(frozen=True)
@@ -149,18 +148,11 @@ class RateGenerator:
 
 
 def collective_generator(ensemble: SpinEnsemble, rates: RatePair) -> RateGenerator:
-    """Collective-dissipation generator over every sector of the ensemble.
+    """Generator over ensemble.two_js, each sector's dense ladder built on each read.
 
-    `blocks` lists every sector; a sector's dense ladder is built the first
-    time it is read.
+    At n = 1 it is the single-spin generator; n independent spins are n copies of it.
     """
-    table = sector_multiplicities(ensemble)
-    return RateGenerator(_LadderBlocks(table.multiplicities, rates), rates)
-
-
-def independent_generator(two_s: int, rates: RatePair) -> RateGenerator:
-    """Single-spin generator; n independent spins are n copies of it."""
-    return RateGenerator(_LadderBlocks((two_s,), rates), rates)
+    return RateGenerator(_LadderBlocks(ensemble.two_js, rates), rates)
 
 
 @dataclass(frozen=True)
@@ -251,13 +243,16 @@ def _propagator(a: np.ndarray, t: float) -> np.ndarray:
     Columns of a sum to zero and its off-diagonals are non-negative, so
     ||a t||_1 = 2 t max|a_ii| with no norm pass. scipy's expm evaluates the
     Pade approximant at t / 2^k, with k the fewest halvings that bring the
-    norm to _THETA_13, and the k squarings follow through _square.
+    norm to _THETA_13, and the k squarings follow through _square. Each
+    doubles the error in a column's unit sum (evolve lost all mass at
+    t = 1e16 on 2J = 200), so the columns are rescaled after each one.
     """
     norm = 2.0 * t * float(np.max(np.abs(np.diagonal(a))))
     k = math.ceil(math.log2(norm / _THETA_13)) if norm > _THETA_13 else 0
-    e = _flush(expm(a * (t / 2.0**k)))
+    e = _flush(expm(a * math.ldexp(t, -k)))
     for _ in range(k):
         e = _square(e)
+        e /= e.sum(axis=0)
     return e
 
 
@@ -273,9 +268,8 @@ def evolve(state: PopulationState, generator: RateGenerator, t: float) -> Popula
     Exact semigroup action per sector through _propagator (dense scaling
     and squaring, Higham 2005, with entries below _FLUSH dropped), the
     propagator relaxation_time uses, at every ladder size. A sector with no
-    mass is returned as it came, without reading its block.
-    Negative roundoff is clipped, and each sector is rescaled to its input
-    mass, which dense expm lets drift with ||A t|| (by 1e-12 at ~1e5).
+    mass is returned as it came, without reading its block. Negative
+    roundoff is clipped, and each sector is rescaled to its input mass.
     """
     if not 0.0 <= t < math.inf:
         raise ValueError(f"t must be finite and >= 0, got t={t}")
@@ -298,13 +292,13 @@ def spectral_gap(state: PopulationState, generator: RateGenerator) -> float:
 
     A birth-death ladder is similar (through the square root of its Gibbs
     vector, never formed) to the symmetric tridiagonal matrix with the same
-    diagonal and off-diagonal sqrt(upper * lower), so its spectrum comes
-    from a symmetric tridiagonal eigensolver. That stays accurate where the
-    dense non-symmetric eigenproblem is ill-conditioned, which put errors of
-    up to 3e-8 relative into np.linalg.eigvals at 2J ~ 200. The largest
-    eigenvalue is the zero mode, so the gap is minus the second largest; at
-    g_up = 0 the off-diagonals vanish and the eigenvalues are the diagonal,
-    as for the triangular generator itself.
+    diagonal and off-diagonal sqrt(down * up), both read from _ladder_rates.
+    A symmetric tridiagonal eigensolver stays accurate where the dense
+    non-symmetric one is ill-conditioned (3e-8 relative error from
+    np.linalg.eigvals at 2J ~ 200). The largest eigenvalue is the zero mode,
+    so the gap is minus the second largest; at g_up = 0 the off-diagonals
+    vanish and the eigenvalues are the diagonal, as for the triangular
+    generator itself.
 
     math.inf when every populated sector is trivially stationary (J = 0).
     """
@@ -313,9 +307,8 @@ def spectral_gap(state: PopulationState, generator: RateGenerator) -> float:
     for tj, p in state.blocks.items():
         if tj == 0 or float(np.sum(p)) <= _MASS_TOL:
             continue
-        a = generator.blocks[tj]
-        off = np.sqrt(np.diagonal(a, 1) * np.diagonal(a, -1))
-        vals = eigvalsh_tridiagonal(np.diagonal(a), off)
+        diag, up, down = _ladder_rates(tj, generator.rates)
+        vals = eigvalsh_tridiagonal(diag, np.sqrt(down * up))
         gap = min(gap, -float(vals[-2]))
     return gap
 
@@ -330,7 +323,6 @@ def relaxation_time(
     state0: PopulationState,
     generator: RateGenerator,
     epsilon: float = 1e-3,
-    t_max: float = 1e6,
 ) -> RelaxationResult:
     """First time the total-variation distance to the stationary state drops below epsilon.
 
@@ -350,9 +342,7 @@ def relaxation_time(
     dense levels doubled peak memory. A crossing before h can need finer
     steps; each finer floor then costs one more expm, placed at the finest
     step the bracket still allows. Every level drops its entries below
-    sqrt(tiny) (about 1.5e-154): the far off-diagonals decay like e^(-bJ)
-    into the subnormal range, where squaring runs about 9x slower, and the
-    dropped mass is at most dim * 1.5e-154 per column.
+    _FLUSH, which keeps its squarings out of the subnormal range.
     """
     if not 0.0 < epsilon < 1.0:
         raise ValueError(f"epsilon must be in (0, 1), got {epsilon}")
@@ -395,7 +385,7 @@ def relaxation_time(
         if t_lo > 0.0:  # [0, h] is followed by [h, 2h]; later brackets double
             k += 1
         t_lo, t_hi, p_lo = t_hi, 2.0 * t_hi, p
-        if t_hi > t_max:
+        if t_hi > _T_MAX:
             raise ConvergenceError(
                 f"TV distance still >= {epsilon} at t = {t_hi} / G(omega)"
             )

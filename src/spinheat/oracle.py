@@ -42,9 +42,9 @@ DIM_CAP = 64
 def _check_dim(ensemble: SpinEnsemble) -> int:
     dim = ensemble.dim
     if dim > DIM_CAP:
-        raise ValueError(
-            f"Hilbert dimension {dim} exceeds the dense-oracle cap {DIM_CAP}"
-        )
+        # (2s+1)**n, not its digits: str() refuses an int of over 4300 of them
+        raise ValueError(f"Hilbert dimension {ensemble.two_s + 1}**{ensemble.n} exceeds the "
+                         f"dense-oracle cap {DIM_CAP}")
     return dim
 
 

@@ -12,6 +12,7 @@ work is reported positive.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 
 from .sectors import BlockWeights, SpinEnsemble, symmetric_weights
@@ -125,12 +126,16 @@ def cycle_exact(
 def normalized_work(c: float, theta_h: float) -> float:
     """C(theta_h) / theta_h^2, the near-Carnot work per unit prefactor.
 
-    0.0 where theta_h**2 overflows (|theta_h| > ~1.3e154), as c / inf would be.
+    0.0 where theta_h**2 overflows (|theta_h| > ~1.3e154), as c / inf would be;
+    ArithmeticError where it underflows (|theta_h| < ~1.5e-154).
     """
     try:
-        return c / theta_h**2
+        theta2 = theta_h**2
     except OverflowError:
         return 0.0
+    if theta2 < sys.float_info.min:
+        raise ArithmeticError(f"theta_h = {theta_h!r} is too small: theta_h**2 underflows")
+    return c / theta2
 
 
 def _work_prefactor(params: OttoParams) -> float:

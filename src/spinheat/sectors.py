@@ -49,6 +49,13 @@ class SpinEnsemble:
         return self.n * self.two_s
 
     @property
+    def two_js(self) -> range:
+        """2J of every sector, ascending: the keys of sector_multiplicities."""
+        if self.n == 1:
+            return range(self.two_s, self.two_s + 1)
+        return range(self.two_j_max % 2, self.two_j_max + 1, 2)
+
+    @property
     def dim(self) -> int:
         """Product Hilbert-space dimension (2s+1)**n, exact."""
         return (self.two_s + 1) ** self.n
@@ -136,17 +143,11 @@ class BlockWeights:
     weights: dict[int, float]  # two_j -> p_J
 
     def __post_init__(self):
-        ens = self.ensemble
-        parity = ens.two_j_max % 2
+        two_js = self.ensemble.two_js
         total = 0.0
         for tj, p in self.weights.items():
-            if ens.n == 1:
-                if tj != ens.two_s:
-                    raise ValueError(f"single spin has only two_j={ens.two_s}, got {tj}")
-            elif tj < 0 or tj > ens.two_j_max or tj % 2 != parity:
-                raise ValueError(
-                    f"two_j={tj} is not a sector of n={ens.n}, two_s={ens.two_s}"
-                )
+            if tj not in two_js:
+                raise ValueError(f"two_j={tj} is not a sector of {self.ensemble}")
             if not p >= 0.0:  # NaN fails here and in the sum check below
                 raise ValueError(f"negative or NaN sector weight p[{tj}]={p}")
             total += p

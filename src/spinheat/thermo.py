@@ -12,9 +12,10 @@ temperatures in units of hbar*omega/k_B.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 
-from .sectors import BlockWeights, SpinEnsemble
+from .sectors import BlockWeights, SpinEnsemble, symmetric_weights
 from .special import coth, xcsch2
 
 __all__ = [
@@ -110,19 +111,29 @@ def independent_energy(ensemble: SpinEnsemble, b: float) -> float:
     return ensemble.n * block_energy(ensemble.two_s, b)
 
 
+def _capacity_ratio(c_col: float, c_ind: float, weights: BlockWeights, b: float, scale=1) -> float:
+    """scale * c_col / c_ind, or its limit where c_ind = n C_s(b) is below the normal range.
+
+    C_J -> J(J+1) b^2/3 as b -> 0, and every C_{J>0} -> the same b^2 e^{-|b|}
+    as |b| -> inf: the limits are sum_J p_J J(J+1) / (n s(s+1)) and (1 - p_0)/n.
+    """
+    if c_ind < sys.float_info.min:
+        ens = weights.ensemble
+        if abs(b) < 1.0:
+            num = sum(p * (tj * (tj + 2)) for tj, p in weights.sorted_items())
+            return scale * num / (ens.n * ens.two_s * (ens.two_s + 2))
+        return scale * (1.0 - weights.weights.get(0, 0.0)) / ens.n
+    return scale * c_col / c_ind
+
+
 def heat_capacity_ratio(ensemble: SpinEnsemble, b: float) -> float:
     """Best-case collective over independent capacity, C_{J=ns}(b) / (n C_s(b)).
 
-    Removable singularities are filled with the analytic limits:
-    (ns+1)/(s+1) at b = 0 and 1/n when both capacities have decayed below
-    the floating-point floor at large |b|.
+    The limits (ns+1)/(s+1) as b -> 0 and 1/n as |b| -> inf stand in where n C_s(b) underflows.
     """
-    if b == 0.0:
-        return (ensemble.two_j_max + 2.0) / (ensemble.two_s + 2.0)
-    den = ensemble.n * block_heat_capacity(ensemble.two_s, b)
-    if den == 0.0:
-        return 1.0 / ensemble.n
-    return block_heat_capacity(ensemble.two_j_max, b) / den
+    weights = symmetric_weights(ensemble)
+    return _capacity_ratio(collective_heat_capacity(weights, b).c_over_kb,
+                           independent_heat_capacity(ensemble, b).c_over_kb, weights, b)
 
 
 def critical_temperature_approx(ensemble: SpinEnsemble) -> float:

@@ -14,7 +14,6 @@ from spinheat.dynamics import (
     RatePair,
     aligned_state,
     collective_generator,
-    independent_generator,
     ladder_generator,
     relaxation_time,
 )
@@ -247,7 +246,7 @@ def test_criterion_11_equilibration_speedup():
     for b, eps in eps_for_b.items():
         rates = RatePair.thermal(b)
         for two_s in (1, 2, 3):
-            single_gen = independent_generator(two_s, rates)
+            single_gen = collective_generator(SpinEnsemble(1, two_s), rates)
             w1 = symmetric_weights(SpinEnsemble(1, two_s))
             single = relaxation_time(aligned_state(w1), single_gen, eps)
             for n in range(2, 11):

@@ -5,7 +5,7 @@ import pytest
 
 from spinheat.cli import FIGURES, main, parse_grid, parse_spin
 from spinheat.cli import CliError
-from spinheat.dynamics import RatePair, aligned_state, independent_generator, relaxation_time
+from spinheat.dynamics import RatePair, aligned_state, collective_generator, relaxation_time
 from spinheat.sectors import SpinEnsemble, symmetric_weights, thermal_product_weights
 
 
@@ -34,7 +34,10 @@ _DYNAMICS = ("dynamics", "--n", "4", "--spin", "1/2", "--weights", "thermal=0.5"
 # The `_DYNAMICS` digest was re-pinned once `evolve` rescaled each sector to
 # its input mass: its population rows moved by at most 8.9e-16 absolute. It
 # was re-pinned again once propagators dropped entries below sqrt(tiny): three
-# cells of the t = 2.5 row moved, by at most 4.2e-17 absolute. The `--oracle`
+# cells of the t = 2.5 row moved, by at most 4.2e-17 absolute. It was
+# re-pinned a third time once propagators scaled their columns back to unit
+# sum after each squaring: 37 cells moved, by at most 2.2e-16 absolute, and
+# the trailing relaxation time and gap did not move. The `--oracle`
 # digest was re-pinned once the oracle propagated by the sparse Liouvillian's
 # action in place of adaptive integration: 65 cells of the t > 0 rows moved,
 # and the table's largest gap to the rate-equation table fell from 4.8e-11 to
@@ -105,7 +108,7 @@ GOLDEN_DIGESTS = {
     ("tcr", "--spin", "1/2", "--grid", "2:300:7:log"):
         "ae037243d7c616c4bedbed8282df279e2ea04e6d83f311f3ae32f00afda52839",
     _DYNAMICS:
-        "6a33f86e0558d61999962144a749b208f62f2ea68b9845d2c2eee2a52e2b4730",
+        "e17381dfbc065fc9602eff24665240c7083b8f55d492468ceccc231aa7394a0c",
     _DYNAMICS + ("--oracle",):
         "9bf39f17d91fac104259fb5230ee50e5367fe7e59b10c75d5c9243093c719b73",
 }
@@ -218,6 +221,30 @@ class TestSweep:
         rc, _, err = run(capsys, *argv, "precision")
         assert rc == 3
         assert "vanished" in err
+
+    @pytest.mark.parametrize("grid", ["1e150:1e160:2:log", "1e300:1e308:2:log"])
+    def test_high_temperature_grid(self, capsys, grid):
+        # b = 1/x falls to 1e-160 and below, where n C_s(b) leaves the normal
+        # range: the ratios read their b -> 0 limits, (ns+1)/(s+1) and n times it
+        argv = ("sweep", "--n", "5", "--spin", "1/2", "--grid", grid, "--quantity")
+        for quantity, want in (("hc-ratio", 7.0 / 3.0), ("power-ratio", 35.0 / 3.0)):
+            rc, out, _ = run(capsys, *argv, quantity)
+            assert rc == 0
+            assert [row[1] for row in parse_csv(out)[1]] == pytest.approx([want] * 2, rel=1e-15)
+        for quantity in ("work", "power"):
+            rc, _, err = run(capsys, *argv, quantity)
+            assert rc == 3
+            assert "is too small: theta_h**2 underflows" in err
+
+    def test_low_temperature_ratios_of_thermal_weights(self, capsys):
+        # n C_s(b) underflows below x ~ 1.3e-3; across that the ratios hold
+        # (1 - p_0)/n and 1 - p_0, with p_0 the weight of the J = 0 sector
+        p0 = thermal_product_weights(SpinEnsemble(4, 1), 0.1).weights[0]
+        for quantity, want in (("hc-ratio", (1.0 - p0) / 4), ("power-ratio", 1.0 - p0)):
+            rc, out, _ = run(capsys, "sweep", "--n", "4", "--spin", "1/2", "--weights",
+                             "thermal=0.1", "--grid", "1e-3:2e-3:5:log", "--quantity", quantity)
+            assert rc == 0
+            assert [row[1] for row in parse_csv(out)[1]] == pytest.approx([want] * 5, rel=1e-14)
 
     @pytest.mark.parametrize("quantity", ["work", "power"])
     @pytest.mark.parametrize("grid", ["1e-160:1e-150:2:log", "1e-320:1e-310:2:log"])
@@ -420,18 +447,22 @@ class TestDynamics:
         for r1, r2 in zip(rows1, rows2):
             assert r1[1] == pytest.approx(r2[1], abs=1e-6)  # energy column
 
-    def test_oracle_dimension_cap(self, capsys, monkeypatch):
-        # checked before the generator, whose multiplicity table is the costly part at large n
-        def fail(*args):
-            raise AssertionError("collective_generator called before the oracle cap check")
+    def test_oracle_dimension_cap(self, capsys):
+        # 2**20000 has more digits than str() of an int will print
+        for n in ("7", "20000"):
+            rc, _, err = run(
+                capsys, "dynamics", "--n", n, "--spin", "1/2", "--bh", "2",
+                "--grid", "0:1:2:lin", "--oracle",
+            )
+            assert rc == 2
+            assert f"Hilbert dimension 2**{n} exceeds the dense-oracle cap" in err
 
-        monkeypatch.setattr("spinheat.cli.collective_generator", fail)
-        rc, _, err = run(
-            capsys, "dynamics", "--n", "7", "--spin", "1/2", "--bh", "2",
-            "--grid", "0:1:2:lin", "--oracle",
+    def test_huge_times_reach_the_steady_state(self, capsys):
+        rc, out, err = run(
+            capsys, "dynamics", "--n", "3", "--spin", "1/2", "--bh", "2", "--grid", "0:1e300:3:lin",
         )
-        assert rc == 2
-        assert "cap" in err
+        assert (rc, err) == (0, "")
+        assert [row[2] < 1e-15 for row in parse_csv(out)[1]] == [False, True, True]
 
     def test_nan_bath_is_usage_error(self, capsys):
         rc, _, err = run(
@@ -464,7 +495,7 @@ class TestDynamics:
         rates = RatePair.thermal(10.0)
         single = relaxation_time(
             aligned_state(symmetric_weights(SpinEnsemble(1, 1))),
-            independent_generator(1, rates),
+            collective_generator(SpinEnsemble(1, 1), rates),
             1e-8,
         ).time
         assert single / reported == pytest.approx(2.0, rel=0.05)

@@ -18,7 +18,6 @@ from spinheat.dynamics import (
     collective_generator,
     evolve,
     gibbs_state,
-    independent_generator,
     ladder_generator,
     relaxation_time,
     spectral_gap,
@@ -100,11 +99,24 @@ class TestGenerators:
         evals = np.linalg.eigvals(a)
         assert np.sum(np.abs(evals) < 1e-10) == 1
 
-    def test_independent_matches_collective_qubit(self):
+    def test_single_spin_generator_is_its_one_ladder(self):
+        # n independent spins are n copies of this generator
         r = RatePair.thermal(0.7)
-        ind = independent_generator(1, r)
-        col = collective_generator(SpinEnsemble(1, 1), r)
-        assert ind.blocks[1] == pytest.approx(col.blocks[1])
+        for two_s in (1, 2, 5):
+            gen = collective_generator(SpinEnsemble(1, two_s), r)
+            assert list(gen.blocks) == [two_s]
+            assert np.array_equal(gen.blocks[two_s], ladder_generator(two_s, r))
+
+    def test_sectors_without_the_multiplicity_table(self, monkeypatch):
+        def fail(ensemble):
+            raise AssertionError("sector_multiplicities called")
+
+        monkeypatch.setattr("spinheat.sectors.sector_multiplicities", fail)
+        monkeypatch.setattr(dynamics, "sector_multiplicities", fail, raising=False)
+        gen = collective_generator(SpinEnsemble(30000, 1), RatePair.thermal(1.0))
+        assert len(gen.blocks) == 15001
+        assert 30000 in gen.blocks and 0 in gen.blocks and 1 not in gen.blocks
+        assert gen.blocks[2].shape == (3, 3)
 
     def test_collective_covers_all_sectors(self):
         gen = collective_generator(SpinEnsemble(4, 1), RatePair.thermal(1.0))
@@ -223,6 +235,15 @@ class TestEvolve:
         st = evolve(aligned_state(w, excited=True), gen, 60.0)
         assert st.blocks[2][0] == pytest.approx(1.0, abs=1e-12)
 
+    @pytest.mark.parametrize("two_j, t", [(200, 1e16), (40, 1e18), (3, 1e20), (3, 1e300)])
+    def test_huge_time_reaches_gibbs(self, two_j, t):
+        # tens to a thousand squarings, each doubling the error in a column's unit sum
+        rates = RatePair.thermal(2.0)
+        w = symmetric_weights(SpinEnsemble(1, two_j))
+        gen = collective_generator(SpinEnsemble(1, two_j), rates)
+        for s0 in (aligned_state(w, excited=True), uniform_state(w)):
+            assert evolve(s0, gen, t).tv_distance(stationary_state(s0, rates)) < 1e-13
+
     def test_negative_time_rejected(self):
         for n in (2, 4):
             w = symmetric_weights(SpinEnsemble(n, 1))
@@ -260,11 +281,12 @@ class TestRelaxation:
             times.append(relaxation_time(s0, gen, 1e-3).time)
         assert times[0] > times[1] > times[2]
 
-    def test_nonconvergence_reports(self):
+    def test_nonconvergence_reports(self, monkeypatch):
+        monkeypatch.setattr(dynamics, "_T_MAX", 1e-4)
         w = symmetric_weights(SpinEnsemble(2, 1))
         gen = collective_generator(SpinEnsemble(2, 1), RatePair.thermal(10.0))
         with pytest.raises(ConvergenceError):
-            relaxation_time(aligned_state(w, excited=True), gen, 1e-3, t_max=1e-4)
+            relaxation_time(aligned_state(w, excited=True), gen, 1e-3)
 
     def test_epsilon_validation(self):
         w = symmetric_weights(SpinEnsemble(2, 1))
@@ -287,7 +309,7 @@ class TestRelaxation:
         # n independent spins by the full factor n, in gap and in TV time
         b, eps = 10.0, 1e-8
         rates = RatePair.thermal(b)
-        single_gen = independent_generator(two_s, rates)
+        single_gen = collective_generator(SpinEnsemble(1, two_s), rates)
         w1 = symmetric_weights(SpinEnsemble(1, two_s))
         t_single = relaxation_time(aligned_state(w1), single_gen, eps)
         for n in range(2, 11):
@@ -345,8 +367,8 @@ def relaxation_case(family, size, b, start, epsilon=1e-3):
     excess on the ground level.
     """
     if family == "ladder":
-        gen = independent_generator(size, RatePair(1.0, 0.0) if b == math.inf
-                                    else RatePair.thermal(b))
+        rates = RatePair(1.0, 0.0) if b == math.inf else RatePair.thermal(b)
+        gen = collective_generator(SpinEnsemble(1, size), rates)
         return _STARTS[start](symmetric_weights(SpinEnsemble(1, size))), gen, epsilon
     ens = SpinEnsemble(size, 1)
     rates = RatePair.thermal(b)
@@ -366,7 +388,7 @@ class TestTridiagonalPaths:
     @settings(max_examples=40, deadline=None, derandomize=True)
     @given(two_j=st.integers(1, 200), b=st.floats(0.1, 20.0))
     def test_gap_matches_dense_eigvals(self, two_j, b):
-        gen = independent_generator(two_j, RatePair.thermal(b))
+        gen = collective_generator(SpinEnsemble(1, two_j), RatePair.thermal(b))
         gap = spectral_gap(aligned_state(symmetric_weights(SpinEnsemble(1, two_j))), gen)
         a = gen.blocks[two_j]
         w, vl, vr = scipy.linalg.eig(a, left=True, right=True)
@@ -389,7 +411,7 @@ class TestTridiagonalPaths:
         # 2J (g_down - g_up) from below; the deficit times 2J measured up to
         # 5.61 at b = 0.5 and falls about like e^(-b), to 9.1e-5 at b = 10
         rates = RatePair.thermal(b)
-        gen = independent_generator(two_j, rates)
+        gen = collective_generator(SpinEnsemble(1, two_j), rates)
         gap = spectral_gap(aligned_state(symmetric_weights(SpinEnsemble(1, two_j))), gen)
         deficit = 1.0 - gap / (two_j * (rates.g_down - rates.g_up))
         assert 0.0 <= deficit <= 6.0 * math.exp(0.5 - b) / two_j
@@ -398,7 +420,7 @@ class TestTridiagonalPaths:
         # g_up = 0: triangular generator, spectrum is its diagonal; gap = edge rate 2J
         rates = RatePair(1.0, 0.0)
         for two_j in range(1, 201):
-            gen = independent_generator(two_j, rates)
+            gen = collective_generator(SpinEnsemble(1, two_j), rates)
             gap = spectral_gap(aligned_state(symmetric_weights(SpinEnsemble(1, two_j))), gen)
             re = np.abs(np.linalg.eigvals(gen.blocks[two_j]).real)
             assert gap == pytest.approx(float(re[re > 0.0].min()), rel=1e-9)
@@ -432,7 +454,7 @@ class TestTridiagonalPaths:
 
     def test_relaxation_on_a_521_level_ladder(self):
         two_j = 520
-        gen = independent_generator(two_j, RatePair.thermal(2.0))
+        gen = collective_generator(SpinEnsemble(1, two_j), RatePair.thermal(2.0))
         state0 = aligned_state(symmetric_weights(SpinEnsemble(1, two_j)), excited=True)
         assert_brackets(state0, gen, relaxation_time(state0, gen))
 
@@ -453,7 +475,7 @@ def settle(q, p):
 def worst_l1_from_expm(two_j, b, propagate):
     """Largest l1 distance between propagate(generator, t, p) and expm(a t) p,
     both settled, over three starts and t*gap in {1e-3, 0.5, 2, 50}."""
-    gen = independent_generator(two_j, RatePair.thermal(b))
+    gen = collective_generator(SpinEnsemble(1, two_j), RatePair.thermal(b))
     starts = ladder_starts(two_j, b)
     a = gen.blocks[two_j]
     gap = spectral_gap(PopulationState({two_j: starts["top"]}), gen)
@@ -533,13 +555,16 @@ class TestLazyGenerator:
             want = settle(_propagator(gen.blocks[tj], t) @ p, p) if p.any() else np.zeros_like(p)
             assert np.array_equal(got.blocks[tj], want)
 
-    def test_blocks_are_read_only(self):
+    def test_blocks_are_built_on_each_read(self, built):
         gen = collective_generator(SpinEnsemble(4, 1), RatePair.thermal(1.0))
         with pytest.raises(TypeError):
             gen.blocks[4] = np.zeros((5, 5))
-        assert gen.blocks[4] is gen.blocks[4]
-        with pytest.raises(ValueError, match="read-only"):
-            gen.blocks[4][0, 0] = 1.0
+        with pytest.raises(KeyError):
+            gen.blocks[3]
+        a = gen.blocks[4]
+        a[0, 0] = 1.0  # the caller's own copy: the next read is built afresh
+        assert gen.blocks[4][0, 0] < 0.0
+        assert built == [4, 4]
 
 
 # (case, time, gap), pinned bit for bit: relaxation_time's propagators come

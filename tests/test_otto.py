@@ -165,6 +165,15 @@ class TestNormalizedWork:
         for c, theta in [(0.4, 2.0), (3.0, 1e-3), (1e-30, 700.0), (0.0, 5.0)]:
             assert normalized_work(c, theta) == c / theta**2
 
+    def test_raises_where_theta_squared_underflows(self):
+        assert normalized_work(0.5, 2e-154) == 0.5 / 2e-154**2
+        for theta in (1e-160, 1e-300, -1e-300, 0.0):
+            with pytest.raises(ArithmeticError, match=f"theta_h = {theta!r} is too small"):
+                normalized_work(0.5, theta)
+        p = OttoParams(lambda_c=0.5, lambda_h=1.0, b_c=1e-100, b_h=1e-160)
+        with pytest.raises(ArithmeticError, match="theta_h = 1e-160"):
+            work_near_carnot(symmetric_weights(SpinEnsemble(3, 1)), p)
+
     def test_zero_where_theta_squared_overflows(self):
         # theta_h = 1e160: theta_h**2 overflows, where the capacity is already 0.0
         assert normalized_work(0.5, 1e160) == normalized_work(0.5, -1e160) == 0.0

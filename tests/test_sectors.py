@@ -36,6 +36,24 @@ class TestSpinEnsemble:
         assert ens.dim == 2**200
         assert ens.two_j_max == 200
 
+    @staticmethod
+    def two_js_mismatches():
+        """(n, two_s) for n < 60, two_s <= 20 where two_js is not the multiplicity table's key set."""
+        return [(n, d) for n in range(1, 60) for d in range(1, 21)
+                if list(SpinEnsemble(n, d).two_js)
+                != sorted(sector_multiplicities(SpinEnsemble(n, d)).multiplicities)]
+
+    def test_two_js_are_the_multiplicity_keys(self):
+        assert self.two_js_mismatches() == []
+
+    @pytest.mark.parametrize("planted", [
+        lambda e: range(e.two_j_max % 2, e.two_j_max + 1, 2),  # n = 1 read as a range
+        lambda e: range(e.two_s if e.n == 1 else 0, e.two_j_max + 1, 2),  # parity dropped
+    ], ids=["single-spin", "parity"])
+    def test_planted_two_js_defect_fails(self, monkeypatch, planted):
+        monkeypatch.setattr(SpinEnsemble, "two_js", property(planted))
+        assert self.two_js_mismatches() != []
+
 
 class TestMultiplicities:
     def test_two_qubits(self):

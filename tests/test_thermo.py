@@ -259,6 +259,12 @@ class TestHeatCapacityRatio:
     def test_underflow_returns_analytic_limit(self):
         assert heat_capacity_ratio(SpinEnsemble(4, 1), 1500.0) == 0.25
 
+    def test_high_temperature_underflow_returns_b0_limit(self):
+        # n C_s(b) is subnormal at b = 1e-160 and 0.0 at 1e-300: both read (ns+1)/(s+1)
+        ens = SpinEnsemble(5, 1)
+        for b in (1e-160, 1e-300, -1e-300):
+            assert heat_capacity_ratio(ens, b) == heat_capacity_ratio(ens, 0.0) == 7.0 / 3.0
+
     def test_crosses_one_at_tcr(self):
         ens = SpinEnsemble(10, 1)
         b_cr = 1.0 / critical_temperature_numeric(ens)

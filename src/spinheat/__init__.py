@@ -27,7 +27,6 @@ from .thermo import (
     critical_temperature_approx,
     critical_temperature_numeric,
     heat_capacity_ratio,
-    independent_energy,
     independent_heat_capacity,
     steady_state_energy,
 )

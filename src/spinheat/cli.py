@@ -71,7 +71,7 @@ _QUANTITIES = {
     "precision": (_T, ("D_col", "D_ind"), lambda c_col, c_ind, w, b, x, nu: [
         1.0 / math.sqrt(nu * _fisher(c_col, x)), 1.0 / math.sqrt(nu * _fisher(c_ind, x))]),
     "precision-ratio": (_T, ("precision_ratio",), lambda c_col, c_ind, w, b, x, nu: [
-        math.sqrt(_fisher(c_ind, x) / _fisher(c_col, x))]),
+        1.0 / math.sqrt(_fisher(_capacity_ratio(c_col, c_ind, w, b), x))]),
     "work": (_TH, ("w_col", "w_ind"), lambda c_col, c_ind, w, b, x, nu: [
         normalized_work(c_col, b), normalized_work(c_ind, b)]),
     "power": (_TH, ("p_col", "p_ind"), lambda c_col, c_ind, w, b, x, nu: [
@@ -295,7 +295,8 @@ def _exact_cycle_columns(args) -> list[str]:
     return ["W_col_exact", "W_ind_exact"] if args.quantity == "work" else ["P_col_exact", "P_ind_exact"]
 
 
-def _exact_cycle_values(args, ensemble, weights, x) -> list[float]:
+def _exact_cycle_values(args, ensemble, weights, one_spin, x) -> list[float]:
+    """Exact-cycle work (or power) of the collective engine and of n one-spin engines."""
     b_h = 1.0 / (x * args.lambda_h)
     if args.lambda_c is not None:
         lambda_c = args.lambda_c
@@ -305,8 +306,8 @@ def _exact_cycle_values(args, ensemble, weights, x) -> list[float]:
             raise CliError(f"--delta-eta {args.delta_eta} drives lambda_c to {lambda_c} <= 0 "
                            f"at {_TH} = {x}")
     params = OttoParams(lambda_c=lambda_c, lambda_h=args.lambda_h, b_c=args.bc, b_h=b_h)
-    w_col = cycle_exact(weights, params, "collective").work_extracted
-    w_ind = cycle_exact(weights, params, "independent").work_extracted
+    w_col = cycle_exact(weights, params).work_extracted
+    w_ind = ensemble.n * cycle_exact(one_spin, params).work_extracted
     if args.quantity == "power":
         return [ensemble.n * w_col / args.tau_ind, w_ind / args.tau_ind]
     return [w_col, w_ind]
@@ -322,7 +323,10 @@ def cmd_sweep(args) -> None:
     grid = parse_grid(args.grid)
     x_name, names, _ = _QUANTITIES[args.quantity]
     exact = _exact_cycle_columns(args)
-    extra = partial(_exact_cycle_values, args, ensemble, weights) if exact else None
+    extra = None
+    if exact:
+        one_spin = symmetric_weights(SpinEnsemble(1, ensemble.two_s))
+        extra = partial(_exact_cycle_values, args, ensemble, weights, one_spin)
     rows = _rows(args.quantity, [(ensemble, weights)], grid, args.nu, extra)
     meta = {
         "version": __version__,

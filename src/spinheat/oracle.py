@@ -38,6 +38,8 @@ __all__ = [
 
 DIM_CAP = 64
 
+_T_MAX = 1e6  # steady_state gives up past this time, units 1/G(omega)
+
 
 def _check_dim(ensemble: SpinEnsemble) -> int:
     dim = ensemble.dim
@@ -238,9 +240,7 @@ def trajectory(
     return out
 
 
-def steady_state(
-    rho0: DensityMatrix, rates: RatePair, tol: float = 1e-9, t_max: float = 1e6
-) -> DensityMatrix:
+def steady_state(rho0: DensityMatrix, rates: RatePair, tol: float = 1e-9) -> DensityMatrix:
     """Long-time state of the master equation, propagated until stationary.
 
     Doubling time chunks until one more chunk moves the state by less than
@@ -250,7 +250,7 @@ def steady_state(
     rho = rho0
     t_chunk = 1.0 / rates.g_down
     elapsed = 0.0
-    while elapsed < t_max:
+    while elapsed < _T_MAX:
         nxt = _propagate(liou, rho, t_chunk)
         moved = trace_distance(rho, nxt)
         rho = nxt
@@ -258,7 +258,7 @@ def steady_state(
         t_chunk *= 2.0
         if moved < 0.1 * tol:
             return rho
-    raise ConvergenceError(f"no steady state within t = {t_max}/G(omega)")
+    raise ConvergenceError(f"no steady state within t = {_T_MAX}/G(omega)")
 
 
 def trace_distance(a: DensityMatrix, b: DensityMatrix) -> float:

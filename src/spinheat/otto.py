@@ -17,13 +17,7 @@ from dataclasses import dataclass
 
 from .sectors import BlockWeights, SpinEnsemble, symmetric_weights
 from .special import xcsch2
-from .thermo import (
-    collective_heat_capacity,
-    critical_temperature_approx,
-    independent_energy,
-    independent_heat_capacity,
-    steady_state_energy,
-)
+from .thermo import collective_heat_capacity, critical_temperature_approx, steady_state_energy
 
 __all__ = [
     "OttoParams",
@@ -38,7 +32,12 @@ __all__ = [
     "power_near_carnot",
 ]
 
-_MODES = ("collective", "independent")
+
+def _check_positive(**values: float) -> None:
+    """ValueError naming the first value that is not finite and > 0 (NaN included)."""
+    for name, value in values.items():
+        if not (math.isfinite(value) and value > 0.0):
+            raise ValueError(f"{name} must be finite and > 0, got {value}")
 
 
 @dataclass(frozen=True)
@@ -51,10 +50,7 @@ class OttoParams:
     b_h: float
 
     def __post_init__(self):
-        for name in ("lambda_c", "lambda_h", "b_c", "b_h"):
-            value = getattr(self, name)
-            if not math.isfinite(value) or value <= 0.0:
-                raise ValueError(f"{name} must be finite and > 0, got {value}")
+        _check_positive(lambda_c=self.lambda_c, lambda_h=self.lambda_h, b_c=self.b_c, b_h=self.b_h)
 
     @property
     def theta_c(self) -> float:
@@ -92,29 +88,15 @@ class CycleResult:
     heat_cold: float
 
 
-def _check_mode(mode: str) -> None:
-    if mode not in _MODES:
-        raise ValueError(f"mode must be one of {_MODES}, got {mode!r}")
-
-
-def _stroke_energy(weights: BlockWeights, theta: float, mode: str) -> float:
-    if mode == "independent":
-        return independent_energy(weights.ensemble, theta)
-    return steady_state_energy(weights, theta)
-
-
-def cycle_exact(
-    weights: BlockWeights, params: OttoParams, mode: str = "collective"
-) -> CycleResult:
+def cycle_exact(weights: BlockWeights, params: OttoParams) -> CycleResult:
     """Exact per-cycle work and heats from the two isochore endpoint energies.
 
     work_extracted = (lambda_h - lambda_c) [E(theta_h) - E(theta_c)]; positive
-    exactly in the extraction regime. The independent mode runs the same
-    cycle on the product-thermal energies n e_s instead of the sector mixture.
+    exactly in the extraction regime. n independently coupled spins are n
+    one-spin engines: n times the cycle of symmetric_weights(SpinEnsemble(1, two_s)).
     """
-    _check_mode(mode)
-    de = _stroke_energy(weights, params.theta_h, mode) - _stroke_energy(
-        weights, params.theta_c, mode
+    de = steady_state_energy(weights, params.theta_h) - steady_state_energy(
+        weights, params.theta_c
     )
     return CycleResult(
         work_extracted=(params.lambda_h - params.lambda_c) * de,
@@ -143,20 +125,14 @@ def _work_prefactor(params: OttoParams) -> float:
     return params.delta_eta * params.lambda_h**2 * (params.b_c - params.b_h)
 
 
-def work_near_carnot(
-    weights: BlockWeights, params: OttoParams, mode: str = "collective"
-) -> float:
+def work_near_carnot(weights: BlockWeights, params: OttoParams) -> float:
     """First-order extracted work near the Carnot point.
 
     delta_eta * lambda_h^2 * (b_c - b_h) * C(theta_h) / theta_h^2, with C the
-    collective or independent capacity; matches cycle_exact up to
+    collective capacity of the weights; matches cycle_exact up to
     O(delta_eta^2).
     """
-    _check_mode(mode)
-    if mode == "independent":
-        c = independent_heat_capacity(weights.ensemble, params.theta_h).c_over_kb
-    else:
-        c = collective_heat_capacity(weights, params.theta_h).c_over_kb
+    c = collective_heat_capacity(weights, params.theta_h).c_over_kb
     return _work_prefactor(params) * normalized_work(c, params.theta_h)
 
 
@@ -168,8 +144,9 @@ def work_max_bounds(
     Reached as b_h -> 0: delta_eta lambda_h^2 b_c / 12 times n[(2s+1)^2 - 1]
     and [(2ns+1)^2 - 1]; their ratio is (ns+1)/(s+1) exactly.
     """
-    if delta_eta < 0.0 or lambda_h <= 0.0 or b_c <= 0.0:
-        raise ValueError("need delta_eta >= 0, lambda_h > 0, b_c > 0")
+    if not (math.isfinite(delta_eta) and delta_eta >= 0.0):
+        raise ValueError(f"delta_eta must be finite and >= 0, got {delta_eta}")
+    _check_positive(lambda_h=lambda_h, b_c=b_c)
     pref = delta_eta * lambda_h**2 * b_c / 12.0
     w_ind = pref * ensemble.n * ((ensemble.two_s + 1) ** 2 - 1)
     w_col = pref * ((ensemble.two_j_max + 1) ** 2 - 1)
@@ -194,8 +171,7 @@ def critical_spin_number(t_h_over_lambda: float, two_s: int) -> float:
     (3 t^2 - 1/4)/(s(s+1)) with t = k_B T_h / (hbar omega lambda_h); inverts
     the capacity-crossover temperature at the hot isochore.
     """
-    if t_h_over_lambda <= 0.0:
-        raise ValueError("need a positive hot-bath temperature")
+    _check_positive(t_h_over_lambda=t_h_over_lambda)
     if two_s < 1:
         raise ValueError("need two_s >= 1")
     return (12.0 * t_h_over_lambda**2 - 1.0) / (two_s * (two_s + 2))
@@ -206,26 +182,18 @@ def critical_compression(t_h: float, ensemble: SpinEnsemble) -> float:
 
     t_h / T_cr(n, s), with t_h = k_B T_h / (hbar omega).
     """
-    if t_h <= 0.0:
-        raise ValueError("need a positive hot-bath temperature")
+    _check_positive(t_h=t_h)
     return t_h / critical_temperature_approx(ensemble)
 
 
-def power_near_carnot(
-    ensemble: SpinEnsemble, params: OttoParams, tau_ind: float, mode: str
-) -> float:
-    """Output power near the Carnot point, with the collective cycle n-fold faster.
+def power_near_carnot(ensemble: SpinEnsemble, params: OttoParams, tau_ind: float) -> float:
+    """Collective output power near the Carnot point, n W_col^+ / tau_ind.
 
-    Independent: W_ind / tau_ind. Collective: n W_col^+ / tau_ind, using the
-    best-case symmetric preparation and the n-fold equilibration speed-up
-    (tau_col = tau_ind / n). The collective/independent ratio is
-    C_{ns}(theta_h)/C_s(theta_h) >= 1, approaching n(ns+1)/(s+1) as
-    theta_h -> 0 and 1 as theta_h -> infinity.
+    Uses the best-case symmetric preparation and the n-fold equilibration
+    speed-up (tau_col = tau_ind / n). The independent engine is n one-spin
+    engines, n * power_near_carnot(SpinEnsemble(1, two_s), params, tau_ind);
+    the collective/independent ratio is C_{ns}(theta_h)/C_s(theta_h) >= 1,
+    approaching n(ns+1)/(s+1) as theta_h -> 0 and 1 as theta_h -> infinity.
     """
-    _check_mode(mode)
-    if tau_ind <= 0.0:
-        raise ValueError(f"tau_ind must be > 0, got {tau_ind}")
-    weights = symmetric_weights(ensemble)
-    if mode == "independent":
-        return work_near_carnot(weights, params, "independent") / tau_ind
-    return ensemble.n * work_near_carnot(weights, params, "collective") / tau_ind
+    _check_positive(tau_ind=tau_ind)
+    return ensemble.n * work_near_carnot(symmetric_weights(ensemble), params) / tau_ind

@@ -26,7 +26,6 @@ __all__ = [
     "collective_heat_capacity",
     "independent_heat_capacity",
     "steady_state_energy",
-    "independent_energy",
     "heat_capacity_ratio",
     "critical_temperature_approx",
     "critical_temperature_numeric",
@@ -104,11 +103,6 @@ def independent_heat_capacity(ensemble: SpinEnsemble, b: float) -> HeatCapacityR
 def steady_state_energy(weights: BlockWeights, b: float) -> float:
     """Energy sum_J p_J e_J(b) of the collective steady state (hbar*omega units)."""
     return sum(p * block_energy(tj, b) for tj, p in weights.sorted_items())
-
-
-def independent_energy(ensemble: SpinEnsemble, b: float) -> float:
-    """Energy n e_s(b) of the product Gibbs state (hbar*omega units)."""
-    return ensemble.n * block_energy(ensemble.two_s, b)
 
 
 def _capacity_ratio(c_col: float, c_ind: float, weights: BlockWeights, b: float, scale=1) -> float:

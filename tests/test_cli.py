@@ -41,7 +41,17 @@ _DYNAMICS = ("dynamics", "--n", "4", "--spin", "1/2", "--weights", "thermal=0.5"
 # digest was re-pinned once the oracle propagated by the sparse Liouvillian's
 # action in place of adaptive integration: 65 cells of the t > 0 rows moved,
 # and the table's largest gap to the rate-equation table fell from 4.8e-11 to
-# 4.4e-16 absolute.
+# 4.4e-16 absolute. The `figure 3b` (CSV and JSON) and `precision-ratio`
+# digests were re-pinned once that column became 1/sqrt of the shared
+# capacity ratio in place of sqrt(c_ind/c_col): 357, 357 and 14 cells moved,
+# each by 1 ulp. The four exact-cycle sweep digests were re-pinned once the
+# independent columns became n times the one-spin cycle,
+# n ((lambda_h - lambda_c)(e_h - e_c)) in place of
+# (lambda_h - lambda_c)(n e_h - n e_c): with `_LAMBDA_C` 16 work and 14 power
+# cells moved, by at most 9 ulp; with `_DELTA_ETA` 21 cells of each moved, all
+# by less than 1e-4 of the cancellation floor
+# 1e-12 |lambda_h - lambda_c| (|E_h| + |E_c| + 1), the largest relative move
+# (0.4%) at x = 0.038, where |W_ind| ~ 4e-12 is cancellation on both sides.
 GOLDEN_DIGESTS = {
     ("figure", "1a"):
         "49827d3618576ac10005daa20bc376a45bbf1a0fcbbec24dae15033726dbb16f",
@@ -64,9 +74,9 @@ GOLDEN_DIGESTS = {
     ("figure", "3a", "--format", "json"):
         "3b664ed3035272120c5f25fff5898d4041ae8c1bb89c0c007aceef3c6318350c",
     ("figure", "3b"):
-        "db3a120a110a1718870d2f206a005e0a1d3397825d2efd5e092b8175d6b0638b",
+        "445ebc75833f99d66fd1981539aed9e3042843980eb643a57f8b9f653080d966",
     ("figure", "3b", "--format", "json"):
-        "1fef26c4801de135ad8d32a5fab955db940ed53fd899814fb54afb4951a60722",
+        "13a4b6a761d396040dde7cb68b9b16411e8f19f670b041e67be839bb6d84a183",
     ("figure", "4"):
         "1e363c7bc4e9e11d6953c5daf8fc87ab36011d06b26c1ad564beda6c82d52ca8",
     ("figure", "4", "--format", "json"):
@@ -88,7 +98,7 @@ GOLDEN_DIGESTS = {
     ("sweep", "--quantity", "precision") + _SWEEP:
         "64a07814729739fa2cbd21660dad623253c21fbd6e4429f3d5e3abc08ff5690b",
     ("sweep", "--quantity", "precision-ratio") + _SWEEP:
-        "decd1479e6ae520fbf22a6bb9e04643b5c3eb4251f37f6fda9d34ba64ae051f4",
+        "365b17269f4b014882af2e3afa817fb291e939c1527439e152b8c50c25efba2d",
     ("sweep", "--quantity", "work") + _SWEEP:
         "ea239bf21873963fd658f2f14f505e185a086b0d39b5a0d2d5f764f19248b946",
     ("sweep", "--quantity", "power") + _SWEEP:
@@ -98,13 +108,13 @@ GOLDEN_DIGESTS = {
     ("sweep", "--quantity", "precision", "--nu", "7") + _SWEEP:
         "5b0073a66b4562b213a6762c3c29d78a216d8f392ec556aecc62036126da9ccf",
     ("sweep", "--quantity", "work") + _SWEEP + _DELTA_ETA:
-        "83c10dcbab1666f6a9cb2e2ab9703f470f6b801507e85b0cab752850ab8aecf8",
+        "9e8f44dece99a7fe129388f3d2e67b2dfda8aa47dffaa03796b1883e7d4f3ecf",
     ("sweep", "--quantity", "work") + _SWEEP + _LAMBDA_C:
-        "4890c26a89fb731e8b310b8f61999973f64b99df5e35d14f9d90c8eac783835f",
+        "b3f2a5a6ae93ac723ab752bc28f79f069f9731c69c74ab1b1fe7ae6bf00a28e2",
     ("sweep", "--quantity", "power") + _SWEEP + _DELTA_ETA:
-        "a3f030d786815ad0e2e4367786c9e993568c3a6ddf6daa2a759053ae312f74ce",
+        "560636f66a1fca542a67e6db30d070c8bf795abf929fbe85ae88085600bd6d98",
     ("sweep", "--quantity", "power") + _SWEEP + _LAMBDA_C:
-        "21eda1a46840ea943b3cb230b40771e76fd7b7ac998254f9a6ea156e97863e76",
+        "67f2fbca90db9cc5d0f0239e27816da0e691e3923479f25949795870f92ec033",
     ("tcr", "--spin", "1/2", "--grid", "2:300:7:log"):
         "ae037243d7c616c4bedbed8282df279e2ea04e6d83f311f3ae32f00afda52839",
     _DYNAMICS:
@@ -235,6 +245,16 @@ class TestSweep:
             rc, _, err = run(capsys, *argv, quantity)
             assert rc == 3
             assert "is too small: theta_h**2 underflows" in err
+
+    @pytest.mark.parametrize("grid, want", [("1e150:1e300:4:log", (3.0 / 7.0) ** 0.5),
+                                            ("1e-300:1e-2:4:log", 5.0 ** 0.5)])
+    def test_precision_ratio_limits(self, capsys, grid, want):
+        # 1/sqrt of the hc-ratio limits (ns+1)/(s+1) = 7/3 and 1/n = 1/5, also
+        # where n C_s(b) leaves the normal range at either end of the axis
+        rc, out, _ = run(capsys, "sweep", "--n", "5", "--spin", "1/2", "--quantity",
+                         "precision-ratio", "--grid", grid)
+        assert rc == 0
+        assert [row[1] for row in parse_csv(out)[1]] == pytest.approx([want] * 4, rel=1e-15)
 
     def test_low_temperature_ratios_of_thermal_weights(self, capsys):
         # n C_s(b) underflows below x ~ 1.3e-3; across that the ratios hold
@@ -645,12 +665,13 @@ class TestExitCodes:
         # all weight on the trivial sector: precision bound diverges
         path = tmp_path / "dead.txt"
         path.write_text("0 1.0\n")
-        rc, _, err = run(
-            capsys, "sweep", "--n", "2", "--spin", "1/2", "--quantity", "precision",
-            "--weights", f"file={path}", "--grid", "1:2:2:lin",
-        )
-        assert rc == 3
-        assert "numeric failure" in err
+        for quantity in ("precision", "precision-ratio"):
+            rc, _, err = run(
+                capsys, "sweep", "--n", "2", "--spin", "1/2", "--quantity", quantity,
+                "--weights", f"file={path}", "--grid", "1:2:2:lin",
+            )
+            assert rc == 3
+            assert "numeric failure: heat capacity vanished at kT/hw = 1.0" in err
 
     def test_unnormalized_weights_file(self, capsys, tmp_path):
         path = tmp_path / "w.txt"

@@ -9,6 +9,7 @@ import pytest
 import spinheat
 from spinheat import oracle
 from spinheat.dynamics import (
+    ConvergenceError,
     RatePair,
     aligned_state,
     collective_generator,
@@ -96,6 +97,13 @@ class TestSteadyState:
         ss = oracle.steady_state(rho0, rates)
         want = np.diag(ladder_boltzmann(3, 1.4)).astype(complex)
         assert oracle.trace_distance(ss, oracle.DensityMatrix(ens, want)) < 1e-8
+
+    def test_nonconvergence_reports(self, monkeypatch):
+        # one chunk of 1/G(omega) runs past the limit before the state settles
+        monkeypatch.setattr(oracle, "_T_MAX", 1e-3)
+        rho0 = oracle.product_thermal_state(SpinEnsemble(2, 1), 0.0)
+        with pytest.raises(ConvergenceError, match="no steady state within t = 0.001"):
+            oracle.steady_state(rho0, RatePair.thermal(1.0))
 
     def test_two_qubit_product_thermal(self):
         # settles to p0 |0,0><0,0| + p1 * Gibbs on the triplet ladder

@@ -67,21 +67,28 @@ class TestCycleExact:
             assert not p.extraction_regime
             assert cycle_exact(w, p).work_extracted <= 1e-15
 
-    def test_against_dense_trace_arithmetic(self):
-        # n=2, s=1/2, symmetric sector: the J=1 ladder has levels -1, 0, 1
-        ens = SpinEnsemble(2, 1)
-        w = symmetric_weights(ens)
+    @pytest.mark.parametrize("two_s", [1, 2, 3])
+    @pytest.mark.parametrize("n", [1, 2, 3, 4])
+    def test_against_dense_trace_arithmetic(self, n, two_s):
+        # the symmetric J = ns ladder has levels -J..J; the product space of n
+        # independent spins holds every sum of n one-spin levels -s..s
         p = OttoParams(lambda_c=0.6, lambda_h=1.0, b_c=1.0, b_h=0.5)
-        levels = np.array([-1.0, 0.0, 1.0])
-        de = gibbs_trace_energy(levels, p.theta_h) - gibbs_trace_energy(levels, p.theta_c)
-        assert cycle_exact(w, p).work_extracted == pytest.approx(
-            (p.lambda_h - p.lambda_c) * de, rel=1e-13
-        )
-        # independent engine: two spins, product Gibbs trace over 4 levels
-        lev4 = np.array([-1.0, 0.0, 0.0, 1.0])
-        de4 = gibbs_trace_energy(lev4, p.theta_h) - gibbs_trace_energy(lev4, p.theta_c)
-        assert cycle_exact(w, p, "independent").work_extracted == pytest.approx(
-            (p.lambda_h - p.lambda_c) * de4, rel=1e-13
+
+        def work(levels):
+            de = gibbs_trace_energy(levels, p.theta_h) - gibbs_trace_energy(levels, p.theta_c)
+            return (p.lambda_h - p.lambda_c) * de
+
+        spin = np.arange(-two_s, two_s + 1, 2) * 0.5
+        product = spin
+        for _ in range(n - 1):
+            product = np.add.outer(product, spin).ravel()
+        ladder = np.arange(-n * two_s, n * two_s + 1, 2) * 0.5
+        w = symmetric_weights(SpinEnsemble(n, two_s))
+        assert cycle_exact(w, p).work_extracted == pytest.approx(work(ladder), rel=1e-13)
+        # independent engine: n one-spin engines
+        one_spin = symmetric_weights(SpinEnsemble(1, two_s))
+        assert n * cycle_exact(one_spin, p).work_extracted == pytest.approx(
+            work(product), rel=1e-13
         )
 
     def test_energy_bookkeeping(self):
@@ -91,10 +98,11 @@ class TestCycleExact:
             two_s = int(rng.integers(1, 4))
             w = thermal_product_weights(SpinEnsemble(n, two_s), float(rng.uniform(-2, 2)))
             p = OttoParams(*(float(v) for v in rng.uniform(0.1, 3.0, size=4)))
-            for mode in ("collective", "independent"):
-                res = cycle_exact(w, p, mode)
-                assert res.work_extracted == pytest.approx(
-                    res.heat_hot + res.heat_cold, abs=1e-12
+            one_spin = symmetric_weights(SpinEnsemble(1, two_s))
+            # collective engine, then n one-spin engines
+            for scale, res in ((1, cycle_exact(w, p)), (n, cycle_exact(one_spin, p))):
+                assert scale * res.work_extracted == pytest.approx(
+                    scale * (res.heat_hot + res.heat_cold), abs=1e-12
                 )
 
     def test_efficiency_identity(self):
@@ -137,15 +145,14 @@ class TestNearCarnot:
         assert work_near_carnot(w, self._params(0.0)) == 0.0
 
     def test_first_order_error_scaling(self):
-        # halving delta_eta shrinks the mismatch with the exact cycle ~4x
-        for mode in ("collective", "independent"):
-            w = symmetric_weights(SpinEnsemble(3, 1))
+        # halving delta_eta shrinks the mismatch with the exact cycle ~4x, for
+        # the collective engine and the one-spin engine (the independent engine
+        # is n of them, a factor the error ratios do not see)
+        for w in (symmetric_weights(SpinEnsemble(3, 1)), symmetric_weights(SpinEnsemble(1, 1))):
             errs = []
             for de in (0.04, 0.02, 0.01, 0.005):
                 p = self._params(de)
-                errs.append(
-                    abs(cycle_exact(w, p, mode).work_extracted - work_near_carnot(w, p, mode))
-                )
+                errs.append(abs(cycle_exact(w, p).work_extracted - work_near_carnot(w, p)))
             for big, small in zip(errs, errs[1:]):
                 assert 3.0 < big / small < 5.0
 
@@ -178,10 +185,9 @@ class TestNormalizedWork:
         # theta_h = 1e160: theta_h**2 overflows, where the capacity is already 0.0
         assert normalized_work(0.5, 1e160) == normalized_work(0.5, -1e160) == 0.0
         p = OttoParams(lambda_c=0.5, lambda_h=1.0, b_c=1e200, b_h=1e160)
-        w = symmetric_weights(SpinEnsemble(3, 1))
-        for mode in ("collective", "independent"):
-            assert work_near_carnot(w, p, mode) == 0.0
-            assert power_near_carnot(SpinEnsemble(3, 1), p, 1.0, mode) == 0.0
+        for ens in (SpinEnsemble(3, 1), SpinEnsemble(1, 1)):
+            assert work_near_carnot(symmetric_weights(ens), p) == 0.0
+            assert power_near_carnot(ens, p, 1.0) == 0.0
         assert work_saturation_bound(p) == 0.0
 
 
@@ -259,8 +265,8 @@ class TestPower:
 
     def _ratio(self, ens, theta_h):
         p = self._params(theta_h)
-        col = power_near_carnot(ens, p, 1.0, "collective")
-        ind = power_near_carnot(ens, p, 1.0, "independent")
+        col = power_near_carnot(ens, p, 1.0)
+        ind = ens.n * power_near_carnot(SpinEnsemble(1, ens.two_s), p, 1.0)
         return col / ind
 
     def test_single_spin_parity(self):
@@ -280,9 +286,27 @@ class TestPower:
 
     def test_tau_validation(self):
         with pytest.raises(ValueError):
-            power_near_carnot(SpinEnsemble(2, 1), self._params(1.0), 0.0, "collective")
-        with pytest.raises(ValueError):
-            power_near_carnot(SpinEnsemble(2, 1), self._params(1.0), 1.0, "both")
+            power_near_carnot(SpinEnsemble(2, 1), self._params(1.0), 0.0)
+
+
+_ENS = SpinEnsemble(3, 1)
+_PARAMS = OttoParams(lambda_c=0.6, lambda_h=1.0, b_c=1.0, b_h=0.5)
+# argument name -> call with that argument set to v
+_CHECKED_ARGUMENTS = {
+    "tau_ind": lambda v: power_near_carnot(_ENS, _PARAMS, v),
+    "delta_eta": lambda v: work_max_bounds(_ENS, v, 1.0, 1.0),
+    "lambda_h": lambda v: work_max_bounds(_ENS, 0.01, v, 1.0),
+    "b_c": lambda v: work_max_bounds(_ENS, 0.01, 1.0, v),
+    "t_h_over_lambda": lambda v: critical_spin_number(v, 1),
+    "t_h": lambda v: critical_compression(v, _ENS),
+}
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf, -1.0])
+@pytest.mark.parametrize("name", list(_CHECKED_ARGUMENTS))
+def test_rejects_non_finite_or_out_of_range(name, bad):
+    with pytest.raises(ValueError, match=f"^{name} must be finite and "):
+        _CHECKED_ARGUMENTS[name](bad)
 
 
 class TestWorkDensityMonotone:

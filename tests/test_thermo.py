@@ -19,7 +19,6 @@ from spinheat.thermo import (
     critical_temperature_approx,
     critical_temperature_numeric,
     heat_capacity_ratio,
-    independent_energy,
     independent_heat_capacity,
     steady_state_energy,
 )
@@ -235,13 +234,14 @@ class TestEnsembleQuantities:
         assert all(a > c for a, c in zip(es, es[1:]))
 
     def test_independent_energy_against_gibbs_trace(self):
-        # n=2, s=1/2: Tr[J_z e^{-b J_z}]/Z over the 4-dim product space
-        ens = SpinEnsemble(2, 1)
+        # n=2, s=1/2: Tr[J_z e^{-b J_z}]/Z over the 4-dim product space is
+        # n times the energy of one spin
+        one_spin = symmetric_weights(SpinEnsemble(1, 1))
         b = 1.0
         levels = np.array([-1.0, 0.0, 0.0, 1.0])
         w = np.exp(-b * levels)
         want = float((levels * w).sum() / w.sum())
-        assert independent_energy(ens, b) == pytest.approx(want, rel=1e-14)
+        assert 2 * steady_state_energy(one_spin, b) == pytest.approx(want, rel=1e-14)
         assert want == pytest.approx(-math.tanh(0.5), rel=1e-14)
 
 

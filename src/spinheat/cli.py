@@ -450,7 +450,7 @@ def cmd_dynamics(args) -> None:
 
     pop_keys = []
     if args.populations:
-        for tj, p in sorted(state0.blocks.items()):
+        for tj, p in state0.blocks.items():
             pop_keys += [(tj, -tj + 2 * i) for i in range(len(p))]
     columns = ["t_in_inv_G", "energy_over_hw", "tv_to_steady"]
     columns += [f"pop_2J{tj}_2m{tm}" for tj, tm in pop_keys]
@@ -608,8 +608,8 @@ def main(argv=None) -> int:
         return int(exc.code or 0)
     try:
         args.func(args)
-    except (CliError, ValueError) as exc:
-        print(f"spinheat: error: {exc}", file=sys.stderr)
+    except (CliError, ValueError, MemoryError) as exc:  # a bare MemoryError has no message
+        print(f"spinheat: error: {str(exc) or 'out of memory'}", file=sys.stderr)
         return 2
     except ArithmeticError as exc:
         print(f"spinheat: numeric failure: {exc}", file=sys.stderr)

@@ -199,13 +199,13 @@ def gibbs_state(weights: BlockWeights, b: float) -> PopulationState:
     This is both the collective steady state for a bath at b and the exact
     sector-resolved content of a product thermal state prepared at b0 = b.
     """
-    return PopulationState({tj: p * ladder_boltzmann(tj, b) for tj, p in weights.sorted_items()})
+    return PopulationState({tj: p * ladder_boltzmann(tj, b) for tj, p in weights.weights.items()})
 
 
 def aligned_state(weights: BlockWeights, excited: bool = False) -> PopulationState:
     """All in-sector mass at the bottom (m = -J) or, with excited=True, top (m = +J)."""
     blocks = {}
-    for tj, p in weights.sorted_items():
+    for tj, p in weights.weights.items():
         v = np.zeros(tj + 1)
         v[-1 if excited else 0] = p
         blocks[tj] = v
@@ -215,7 +215,7 @@ def aligned_state(weights: BlockWeights, excited: bool = False) -> PopulationSta
 def uniform_state(weights: BlockWeights) -> PopulationState:
     """In-sector mass spread evenly over the 2J+1 levels."""
     return PopulationState(
-        {tj: np.full(tj + 1, p / (tj + 1)) for tj, p in weights.sorted_items()}
+        {tj: np.full(tj + 1, p / (tj + 1)) for tj, p in weights.weights.items()}
     )
 
 

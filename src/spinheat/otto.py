@@ -147,7 +147,7 @@ def work_max_bounds(
     if not (math.isfinite(delta_eta) and delta_eta >= 0.0):
         raise ValueError(f"delta_eta must be finite and >= 0, got {delta_eta}")
     _check_positive(lambda_h=lambda_h, b_c=b_c)
-    pref = delta_eta * lambda_h**2 * b_c / 12.0
+    pref = delta_eta * lambda_h * lambda_h * b_c / 12.0  # inf on overflow, 0.0 at delta_eta = 0
     w_ind = pref * ensemble.n * ((ensemble.two_s + 1) ** 2 - 1)
     w_col = pref * ((ensemble.two_j_max + 1) ** 2 - 1)
     return w_ind, w_col
@@ -174,7 +174,7 @@ def critical_spin_number(t_h_over_lambda: float, two_s: int) -> float:
     _check_positive(t_h_over_lambda=t_h_over_lambda)
     if two_s < 1:
         raise ValueError("need two_s >= 1")
-    return (12.0 * t_h_over_lambda**2 - 1.0) / (two_s * (two_s + 2))
+    return (12.0 * t_h_over_lambda * t_h_over_lambda - 1.0) / (two_s * (two_s + 2))
 
 
 def critical_compression(t_h: float, ensemble: SpinEnsemble) -> float:

@@ -136,11 +136,12 @@ class BlockWeights:
     """Probability weight p_J carried by each total-spin sector.
 
     Degeneracy-aggregated: every quantity downstream depends on the
-    multiplicity copies only through their summed weight.
+    multiplicity copies only through their summed weight. Keeps its own copy
+    of the mapping, in ascending two_j: the order of every sector sum.
     """
 
     ensemble: SpinEnsemble
-    weights: dict[int, float]  # two_j -> p_J
+    weights: dict[int, float]  # two_j -> p_J, ascending two_j
 
     def __post_init__(self):
         two_js = self.ensemble.two_js
@@ -153,9 +154,7 @@ class BlockWeights:
             total += p
         if not abs(total - 1.0) <= WEIGHT_SUM_TOL:
             raise ValueError(f"sector weights must sum to 1, got {total!r}")
-
-    def sorted_items(self) -> list[tuple[int, float]]:
-        return sorted(self.weights.items())
+        object.__setattr__(self, "weights", dict(sorted(self.weights.items())))
 
 
 def thermal_product_weights(ensemble: SpinEnsemble, b0: float) -> BlockWeights:

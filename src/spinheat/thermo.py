@@ -91,7 +91,7 @@ class HeatCapacityResult:
 
 def collective_heat_capacity(weights: BlockWeights, b: float) -> HeatCapacityResult:
     """Weighted sector sum sum_J p_J C_J(b); the capacity of the collective steady state."""
-    c = sum(p * block_heat_capacity(tj, b) for tj, p in weights.sorted_items())
+    c = sum(p * block_heat_capacity(tj, b) for tj, p in weights.weights.items())
     return HeatCapacityResult(c)
 
 
@@ -102,7 +102,7 @@ def independent_heat_capacity(ensemble: SpinEnsemble, b: float) -> HeatCapacityR
 
 def steady_state_energy(weights: BlockWeights, b: float) -> float:
     """Energy sum_J p_J e_J(b) of the collective steady state (hbar*omega units)."""
-    return sum(p * block_energy(tj, b) for tj, p in weights.sorted_items())
+    return sum(p * block_energy(tj, b) for tj, p in weights.weights.items())
 
 
 def _capacity_ratio(c_col: float, c_ind: float, weights: BlockWeights, b: float, scale=1) -> float:
@@ -114,7 +114,7 @@ def _capacity_ratio(c_col: float, c_ind: float, weights: BlockWeights, b: float,
     if c_ind < sys.float_info.min:
         ens = weights.ensemble
         if abs(b) < 1.0:
-            num = sum(p * (tj * (tj + 2)) for tj, p in weights.sorted_items())
+            num = sum(p * (tj * (tj + 2)) for tj, p in weights.weights.items())
             return scale * num / (ens.n * ens.two_s * (ens.two_s + 2))
         return scale * (1.0 - weights.weights.get(0, 0.0)) / ens.n
     return scale * c_col / c_ind

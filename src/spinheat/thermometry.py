@@ -70,7 +70,7 @@ def qfi_moment_form(weights: BlockWeights, b: float) -> float:
     is the variance route, as opposed to the closed-form capacity route.
     """
     return b * b * sum(
-        p * block_moments(tj, b)[1] for tj, p in weights.sorted_items()
+        p * block_moments(tj, b)[1] for tj, p in weights.weights.items()
     )
 
 
@@ -103,7 +103,7 @@ def _ladder_moments(weights: BlockWeights, a: float):
     So Z_J, <k>_J and <k^2>_J are prefix sums of g, k g and k^2 g read at
     k = 2J: sums of positive terms, O(2J_max) for all sectors at once.
     """
-    two_j, p = (np.array(col) for col in zip(*weights.sorted_items()))
+    two_j, p = (np.array(col) for col in zip(*weights.weights.items()))
     k = np.arange(two_j[-1] + 1, dtype=float)
     g = np.exp(-a * k)
     z = np.cumsum(g)[two_j]

@@ -122,7 +122,7 @@ def fisher_energy_by_sector(weights, b):
     tj_top = max(weights.weights)
     prob = np.zeros(tj_top + 1)
     dprob = np.zeros(tj_top + 1)
-    for tj, p in weights.sorted_items():
+    for tj, p in weights.weights.items():
         if p == 0.0:
             continue
         q = ladder_boltzmann(tj, b)
@@ -144,7 +144,7 @@ def fisher_projection_by_sector(weights, b):
     if b == 0.0:
         return 0.0
     fb = 0.0
-    for tj, p in weights.sorted_items():
+    for tj, p in weights.weights.items():
         q = ladder_boltzmann(tj, b)
         m = ladder_two_m(tj) * 0.5
         fb += p * float(np.dot(q, (block_energy(tj, b) - m) ** 2))

@@ -3,6 +3,7 @@ import json
 
 import pytest
 
+from spinheat import cli
 from spinheat.cli import FIGURES, main, parse_grid, parse_spin
 from spinheat.cli import CliError
 from spinheat.dynamics import RatePair, aligned_state, collective_generator, relaxation_time
@@ -212,7 +213,7 @@ class TestSweep:
         # thermal weights written as repr(p_J) lines read back as the same weights
         path = tmp_path / "w.txt"
         weights = thermal_product_weights(SpinEnsemble(n, parse_spin(spin)), float(b0))
-        path.write_text("".join(f"{tj} {p!r}\n" for tj, p in weights.sorted_items()))
+        path.write_text("".join(f"{tj} {p!r}\n" for tj, p in weights.weights.items()))
         rows = []
         for spec in (f"thermal={b0}", f"file={path}"):
             rc, out, _ = run(capsys, "sweep", "--n", str(n), "--spin", spin, "--quantity",
@@ -220,6 +221,24 @@ class TestSweep:
             assert rc == 0
             rows.append(out.splitlines()[1:])
         assert rows[0] == rows[1]
+
+    @pytest.mark.parametrize("argv", [
+        ("sweep", "--quantity", "heat-capacity", "--grid", "0.03:80:9:log"),
+        ("sweep", "--quantity", "precision", "--nu", "100", "--grid", "0.1:10:5:log"),
+        ("sweep", "--quantity", "work", *_DELTA_ETA, "--grid", "0.1:10:5:log"),
+        ("dynamics", "--bh", "2", "--grid", "0:3:4:lin", "--populations"),
+    ], ids=["heat-capacity", "precision", "work", "dynamics"])
+    def test_weights_file_order_is_irrelevant(self, capsys, tmp_path, argv):
+        # a file in descending two_J prints the same bytes as the ascending one
+        path = tmp_path / "w.txt"
+        items = list(thermal_product_weights(SpinEnsemble(5, 1), 0.4).weights.items())
+        outs = []
+        for order in (items, items[::-1]):
+            path.write_text("".join(f"{tj} {p!r}\n" for tj, p in order))
+            rc, out, _ = run(capsys, *argv, "--n", "5", "--spin", "1/2", "--weights", f"file={path}")
+            assert rc == 0
+            outs.append(out)
+        assert outs[0] == outs[1]
 
     @pytest.mark.parametrize("grid", ["1e-160:1e-150:2:log", "1e-320:1e-310:2:log"])
     def test_zero_temperature_grid(self, capsys, grid):
@@ -572,6 +591,17 @@ class TestConfigFile:
 class TestExitCodes:
     def test_usage_error_from_argparse(self, capsys):
         assert main(["sweep", "--n", "2"]) == 2  # missing required flags
+
+    def test_memory_error_is_an_input_error(self, capsys, monkeypatch):
+        def exhausted(*args):
+            raise MemoryError
+
+        monkeypatch.setattr(cli, "thermal_product_weights", exhausted)
+        rc, out, err = run(capsys, "sweep", "--n", "300000", "--spin", "1/2", "--quantity",
+                           "heat-capacity", "--weights", "thermal=0.5", "--grid", "1:2:2:lin")
+        assert rc == 2
+        assert out == ""
+        assert err == "spinheat: error: out of memory\n"
 
     def test_bad_grid(self, capsys):
         rc, _, err = run(

@@ -309,6 +309,20 @@ def test_rejects_non_finite_or_out_of_range(name, bad):
         _CHECKED_ARGUMENTS[name](bad)
 
 
+@pytest.mark.parametrize(
+    "call, want",
+    [
+        (lambda: critical_spin_number(1e200, 1), math.inf),
+        (lambda: work_max_bounds(_ENS, 0.01, 1e200, 1.0), (math.inf, math.inf)),
+        (lambda: work_max_bounds(_ENS, 0.0, 1e200, 1.0), (0.0, 0.0)),
+    ],
+    ids=["spin_number", "bounds", "bounds_zero_delta_eta"],
+)
+def test_huge_finite_arguments_overflow_to_inf(call, want):
+    # the squares overflow to inf instead of raising; delta_eta = 0 stays 0, not NaN
+    assert call() == want
+
+
 class TestWorkDensityMonotone:
     def test_capacity_over_theta_squared_decreases(self):
         # C_J(theta)/theta^2 falls monotonically even where C_J itself does not

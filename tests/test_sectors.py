@@ -1,10 +1,12 @@
 import math
+import random
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from spinheat.dynamics import gibbs_state
 from spinheat.sectors import (
     BlockWeights,
     SpinEnsemble,
@@ -14,6 +16,8 @@ from spinheat.sectors import (
     symmetric_weights,
     thermal_product_weights,
 )
+from spinheat.thermo import block_heat_capacity, collective_heat_capacity, steady_state_energy
+from spinheat.thermometry import fisher_energy_measurement, qfi
 
 import brute
 
@@ -267,3 +271,41 @@ class TestBlockWeightsValidation:
         with pytest.raises(ValueError):
             BlockWeights(SpinEnsemble(1, 3), {1: 1.0})
         BlockWeights(SpinEnsemble(1, 3), {3: 1.0})
+
+
+class TestBlockWeightsOrder:
+    """BlockWeights keeps its own copy of the weights, in ascending two_j."""
+
+    B = (-3.0, 0.05, 0.7, 2.5)
+
+    @staticmethod
+    def _pair():
+        ens = SpinEnsemble(9, 3)
+        items = list(thermal_product_weights(ens, 0.7).weights.items())
+        random.Random(21).shuffle(items)
+        return BlockWeights(ens, dict(items)), BlockWeights(ens, dict(sorted(items)))
+
+    def test_iterates_in_ascending_two_j(self):
+        shuffled, ordered = self._pair()
+        keys = list(shuffled.weights)
+        assert keys == sorted(keys) == list(ordered.weights)
+
+    @pytest.mark.parametrize("quantity", [
+        lambda w, b: collective_heat_capacity(w, b).c_over_kb,
+        steady_state_energy,
+        lambda w, b: qfi(w, b).value,
+        lambda w, b: fisher_energy_measurement(w, b).value,
+        lambda w, b: [(tj, p.tobytes()) for tj, p in gibbs_state(w, b).blocks.items()],
+    ], ids=["capacity", "energy", "qfi", "fisher_energy", "gibbs_state"])
+    def test_sums_are_bit_identical(self, quantity):
+        shuffled, ordered = self._pair()
+        for b in self.B:
+            assert quantity(shuffled, b) == quantity(ordered, b)
+
+    def test_later_changes_to_the_source_mapping_do_not_reach_it(self):
+        d = {2: 1.0}
+        w = BlockWeights(SpinEnsemble(2, 1), d)
+        d[0] = 5.0
+        d[7] = -1.0
+        assert w.weights == {2: 1.0}
+        assert collective_heat_capacity(w, 1.0).c_over_kb == block_heat_capacity(2, 1.0)

@@ -323,7 +323,7 @@ class TestMomentIdentity:
             b = float(rng.uniform(0.05, 5.0))
             jz2 = 0.0
             e2 = 0.0
-            for tj, p in w.sorted_items():
+            for tj, p in w.weights.items():
                 mean, var = direct_moments(tj, b)
                 jz2 += p * (var + mean * mean)
                 e2 += p * block_energy(tj, b) ** 2
@@ -339,7 +339,7 @@ class TestMomentIdentity:
             w = random_weights(rng, n, 1)
             b = float(rng.uniform(0.1, 4.0))
             jz2 = mean_tot = 0.0
-            for tj, p in w.sorted_items():
+            for tj, p in w.weights.items():
                 mean, var = direct_moments(tj, b)
                 jz2 += p * (var + mean * mean)
                 mean_tot += p * mean

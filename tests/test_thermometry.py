@@ -54,7 +54,7 @@ def outcome_distribution(weights, b):
     tj_top = max(weights.weights)
     two_ms = np.arange(-tj_top, tj_top + 1, 2)
     p = np.zeros_like(two_ms, dtype=float)
-    for tj, w in weights.sorted_items():
+    for tj, w in weights.weights.items():
         z = block_partition_function(tj, b)
         for k, tm in enumerate(two_ms):
             if abs(tm) <= tj:
@@ -72,7 +72,7 @@ def mp_fisher(weights, b, dps=60):
     with mpmath.workdps(dps):
         b = mpmath.mpf(b)
         sectors = []
-        for tj, p in weights.sorted_items():
+        for tj, p in weights.weights.items():
             ms = [mpmath.mpf(tm) / 2 for tm in range(-tj, tj + 1, 2)]
             q = [mpmath.exp(-m * b) for m in ms]
             z = mpmath.fsum(q)
@@ -205,7 +205,7 @@ class TestCollectiveProjection:
         w = random_weights(rng, 6, 1)
         b = 0.7
         want = 0.0
-        for tj, p in w.sorted_items():
+        for tj, p in w.weights.items():
             m = np.arange(-tj, tj + 1, 2) * 0.5
             pops = np.exp(-m * b)
             pops /= pops.sum()

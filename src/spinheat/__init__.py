@@ -65,7 +65,6 @@ from .dynamics import (
     relaxation_time,
     spectral_gap,
     stationary_state,
-    transition_rate_range,
     uniform_state,
 )
 

@@ -131,8 +131,8 @@ def parse_grid(text: str, positive: bool = True) -> np.ndarray:
         points = int(parts[2])
     except ValueError:
         raise CliError(f"bad grid numbers in {text!r}") from None
-    if not (math.isfinite(lo) and math.isfinite(hi)):
-        raise CliError(f"grid bounds must be finite, got {text!r}")
+    if not math.isfinite(hi - lo):  # a NaN or infinite bound, or a span that overflows
+        raise CliError(f"grid bounds and their span must be finite, got {text!r}")
     kind = parts[3]
     if kind not in ("log", "lin"):
         raise CliError(f"grid kind must be log or lin, got {kind!r}")
@@ -144,10 +144,7 @@ def parse_grid(text: str, positive: bool = True) -> np.ndarray:
         raise CliError("log grid needs lo > 0")
     if positive and lo <= 0.0:
         raise CliError("grid values must be positive here")
-    if points == 0:
-        return np.empty(0)
-    if points == 1:
-        return np.array([lo])
+    # numpy gives an empty grid for 0 points and [lo] for 1
     if kind == "log":
         return np.geomspace(lo, hi, points)
     return np.linspace(lo, hi, points)
@@ -174,6 +171,7 @@ def load_weights_file(path: str, ensemble: SpinEnsemble) -> BlockWeights:
         raise CliError(f"cannot read weights file {path}: {exc}") from None
     if not raw:
         raise CliError(f"weights file {path} has no entries")
+    raw = dict(sorted(raw.items()))  # one total, and one rescaling, for any line order
     total = sum(raw.values())
     if not abs(total - 1.0) <= 1e-6:  # written so that a NaN total fails too
         raise CliError(f"weights in {path} sum to {total!r}, expected 1")
@@ -436,6 +434,8 @@ def _initial_state(args, weights, provenance) -> PopulationState:
 
 
 def cmd_dynamics(args) -> None:
+    if not 0.0 < args.epsilon < 1.0:  # NaN fails here too
+        raise CliError(f"--epsilon must be in (0, 1), got {args.epsilon}")
     ensemble = SpinEnsemble(args.n, parse_spin(args.spin))
     weights, provenance = resolve_weights(args.weights, ensemble)
     if args.bh is None:

@@ -35,7 +35,6 @@ __all__ = [
     "evolve",
     "spectral_gap",
     "relaxation_time",
-    "transition_rate_range",
 ]
 
 # Higham's (2005) bound on ||A t||_1 up to which the degree-13 Pade
@@ -77,9 +76,9 @@ class RatePair:
             raise ValueError(f"g_up must be finite and >= 0, got {self.g_up}")
 
     @classmethod
-    def thermal(cls, b: float, g_down: float = 1.0) -> "RatePair":
-        """Detailed-balance rates for a bath at dimensionless inverse temperature b."""
-        return cls(g_down, g_down * math.exp(-b))
+    def thermal(cls, b: float) -> "RatePair":
+        """Detailed-balance rates at bath inverse temperature b; g_down = 1 sets the time unit 1/G."""
+        return cls(1.0, math.exp(-b))
 
     @property
     def bath_b(self) -> float:
@@ -403,15 +402,3 @@ def relaxation_time(
             t_lo, p_lo = mid, p
     return RelaxationResult(t_hi, gap)
 
-
-def transition_rate_range(two_j: int, rates: RatePair) -> tuple[float, float]:
-    """Exact (min, max) downward rate over the ladder's m grid.
-
-    The m -> m-1 rate is (J+m)(J-m+1) g_down; the minimum 2J sits at the
-    ladder edge and the maximum (2J+1)^2 // 4 at the band center (J(J+1)
-    for integer J, (J+1/2)^2 for half-integer J). The edge rate is what
-    scales as n between the symmetric sector and a single spin.
-    """
-    if two_j < 1:
-        raise ValueError("need two_j >= 1 for at least one transition")
-    return two_j * rates.g_down, (two_j + 1) ** 2 // 4 * rates.g_down

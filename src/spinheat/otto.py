@@ -120,9 +120,17 @@ def normalized_work(c: float, theta_h: float) -> float:
     return c / theta2
 
 
-def _work_prefactor(params: OttoParams) -> float:
-    """delta_eta * lambda_h^2 * (b_c - b_h), shared by the near-Carnot work formulas."""
-    return params.delta_eta * params.lambda_h**2 * (params.b_c - params.b_h)
+def _near_carnot_work(params: OttoParams, c: float) -> float:
+    """delta_eta * lambda_h^2 * (b_c - b_h) * normalized_work(c, theta_h).
+
+    lambda_h^2 / theta_h^2 = 1 / b_h^2, so it is formed as
+    delta_eta (b_c - b_h) * c / b_h^2: finite where only lambda_h**2 overflows,
+    and 0.0, not NaN, where either factor is 0.0 and the other overflows.
+    """
+    normalized_work(c, params.theta_h)  # raises where theta_h**2 underflows
+    gap = (params.b_c - params.b_h) * params.delta_eta
+    w = c / params.b_h / params.b_h
+    return 0.0 if gap == 0.0 or w == 0.0 else gap * w
 
 
 def work_near_carnot(weights: BlockWeights, params: OttoParams) -> float:
@@ -132,8 +140,7 @@ def work_near_carnot(weights: BlockWeights, params: OttoParams) -> float:
     collective capacity of the weights; matches cycle_exact up to
     O(delta_eta^2).
     """
-    c = collective_heat_capacity(weights, params.theta_h).c_over_kb
-    return _work_prefactor(params) * normalized_work(c, params.theta_h)
+    return _near_carnot_work(params, collective_heat_capacity(weights, params.theta_h).c_over_kb)
 
 
 def work_max_bounds(
@@ -161,8 +168,7 @@ def work_saturation_bound(params: OttoParams) -> float:
     only saturates this bound, which is why collective effects cannot buy
     finite power at the Carnot point.
     """
-    th = params.theta_h
-    return _work_prefactor(params) * normalized_work(xcsch2(0.5 * th), th)
+    return _near_carnot_work(params, xcsch2(0.5 * params.theta_h))
 
 
 def critical_spin_number(t_h_over_lambda: float, two_s: int) -> float:

@@ -68,10 +68,6 @@ class SectorTable:
     ensemble: SpinEnsemble
     multiplicities: dict[int, int]  # two_j -> l_J
 
-    def dimension_total(self) -> int:
-        """sum_J l_J (2J+1); equals ensemble.dim when the table is consistent."""
-        return sum(l * (tj + 1) for tj, l in self.multiplicities.items())
-
 
 # Bounded: a table costs milliseconds to rebuild, while an unbounded cache
 # keeps one for every ensemble a long-running process has ever seen.
@@ -105,23 +101,20 @@ def sector_multiplicities(ensemble: SpinEnsemble) -> SectorTable:
 def log_block_partition_function(two_j: int, b: float) -> float:
     """log Z_J(b), with Z_J(b) = sum_{m=-J..J} e^{-m b} = sinh((J+1/2)b)/sinh(b/2).
 
-    Even in b. Log-space evaluation keeps (J+1/2)|b| in the hundreds finite.
+    Even in b. Log-space evaluation keeps (J+1/2)|b| in the hundreds finite,
+    and log_sinh stays accurate as b -> 0: one formula for every b but 0
+    (and for J = 0, where Z_0 = 1 even at b = +-inf).
     """
     if two_j < 0:
         raise ValueError("two_j must be >= 0")
-    if two_j == 0:
-        return 0.0
     half = 0.5 * abs(b)
-    if (two_j + 1) * half < 1e-4:
-        # series around b = 0: log(2J+1) + b^2 J(J+1)/6
-        return math.log(two_j + 1.0) + b * b * two_j * (two_j + 2) / 24.0
+    if two_j == 0 or half == 0.0:
+        return math.log(two_j + 1.0)
     return log_sinh((two_j + 1) * half) - log_sinh(half)
 
 
 def block_partition_function(two_j: int, b: float) -> float:
     """Partition function Z_J(b) of one spin-J ladder; >= 1, equals 2J+1 at b=0."""
-    if two_j == 0:
-        return 1.0
     if b == 0.0:
         return float(two_j + 1)
     return math.exp(log_block_partition_function(two_j, b))
@@ -131,13 +124,26 @@ def block_partition_function(two_j: int, b: float) -> float:
 WEIGHT_SUM_TOL = 1e-9
 
 
+class _ReadOnlyDict(dict):
+    """A dict that refuses writes; unlike a MappingProxyType, it can be deep-copied."""
+
+    def _read_only(self, *args):
+        raise TypeError("sector weights are read-only")
+
+    __setitem__ = __delitem__ = __ior__ = clear = pop = popitem = setdefault = update = _read_only
+
+    def __reduce__(self):  # copy and pickle rebuild it whole, not item by item
+        return (_ReadOnlyDict, (dict(self),))
+
+
 @dataclass(frozen=True)
 class BlockWeights:
     """Probability weight p_J carried by each total-spin sector.
 
     Degeneracy-aggregated: every quantity downstream depends on the
-    multiplicity copies only through their summed weight. Keeps its own copy
-    of the mapping, in ascending two_j: the order of every sector sum.
+    multiplicity copies only through their summed weight. Keeps its own
+    read-only copy of the mapping, in ascending two_j: the order of every
+    sector sum.
     """
 
     ensemble: SpinEnsemble
@@ -154,7 +160,7 @@ class BlockWeights:
             total += p
         if not abs(total - 1.0) <= WEIGHT_SUM_TOL:
             raise ValueError(f"sector weights must sum to 1, got {total!r}")
-        object.__setattr__(self, "weights", dict(sorted(self.weights.items())))
+        object.__setattr__(self, "weights", _ReadOnlyDict(sorted(self.weights.items())))
 
 
 def thermal_product_weights(ensemble: SpinEnsemble, b0: float) -> BlockWeights:

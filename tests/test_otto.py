@@ -1,5 +1,6 @@
 import math
 
+import mpmath
 import numpy as np
 import pytest
 
@@ -321,6 +322,35 @@ def test_rejects_non_finite_or_out_of_range(name, bad):
 def test_huge_finite_arguments_overflow_to_inf(call, want):
     # the squares overflow to inf instead of raising; delta_eta = 0 stays 0, not NaN
     assert call() == want
+
+
+@pytest.mark.parametrize("params, want", [
+    (OttoParams(lambda_c=0.5e200, lambda_h=1e200, b_c=1.0, b_h=0.5), 0.0),  # delta_eta = 0
+    (OttoParams(lambda_c=0.4e200, lambda_h=1e200, b_c=1.0, b_h=0.5), 0.0),  # C(theta_h) = 0.0
+    (OttoParams(lambda_c=0.4e200, lambda_h=1e200, b_c=1.0, b_h=1e-199), math.inf),  # theta_h = 10
+], ids=["carnot_point", "theta_h_squared_overflows", "work_overflows"])
+def test_near_carnot_work_at_huge_lambda_h(params, want):
+    # lambda_h**2 overflows: the work is 0.0 where delta_eta or C(theta_h) is,
+    # not NaN, and +inf where delta_eta (b_c - b_h) C / b_h^2 overflows too
+    ens = SpinEnsemble(3, 1)
+    assert work_near_carnot(symmetric_weights(ens), params) == want
+    assert work_saturation_bound(params) == want
+    assert power_near_carnot(ens, params, 2.0) == want
+
+
+def test_near_carnot_work_where_only_lambda_h_squared_overflows():
+    # theta_h = 720: lambda_h^2 / theta_h^2 = 1/b_h^2 leaves a finite work of ~1e87
+    p = OttoParams(lambda_c=0.5e200, lambda_h=1e200, b_c=1.0, b_h=7.2e-198)
+    ens = SpinEnsemble(3, 1)  # symmetric sector 2J = 6
+    with mpmath.workdps(40):
+        pref = mpmath.mpf(p.delta_eta) * (mpmath.mpf(p.b_c) - p.b_h) / mpmath.mpf(p.b_h) ** 2
+        h = mpmath.mpf(p.theta_h) / 2
+        bound = float(pref * (h / mpmath.sinh(h)) ** 2)
+        work = float(pref * ((h / mpmath.sinh(h)) ** 2 - (7 * h / mpmath.sinh(7 * h)) ** 2))
+    assert 1e87 < work < 1.1e87
+    assert work_near_carnot(symmetric_weights(ens), p) == pytest.approx(work, rel=1e-10)
+    assert work_saturation_bound(p) == pytest.approx(bound, rel=1e-10)
+    assert power_near_carnot(ens, p, 2.0) == pytest.approx(3 * work / 2.0, rel=1e-10)
 
 
 class TestWorkDensityMonotone:

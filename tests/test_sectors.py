@@ -1,5 +1,9 @@
+import copy
 import math
+import pickle
 import random
+
+import mpmath
 
 import numpy as np
 import pytest
@@ -20,6 +24,11 @@ from spinheat.thermo import block_heat_capacity, collective_heat_capacity, stead
 from spinheat.thermometry import fisher_energy_measurement, qfi
 
 import brute
+
+
+def dimension_total(table):
+    """sum_J l_J (2J+1); equals ensemble.dim when the table is consistent."""
+    return sum(l * (tj + 1) for tj, l in table.multiplicities.items())
 
 
 def direct_partition_sum(two_j, b):
@@ -83,12 +92,12 @@ class TestMultiplicities:
         for n in range(1, 31):
             for two_s in range(1, 10):
                 ens = SpinEnsemble(n, two_s)
-                assert sector_multiplicities(ens).dimension_total() == ens.dim
+                assert dimension_total(sector_multiplicities(ens)) == ens.dim
 
     def test_large_n_no_overflow(self):
         ens = SpinEnsemble(200, 1)
         table = sector_multiplicities(ens)
-        assert table.dimension_total() == 2**200
+        assert dimension_total(table) == 2**200
         assert max(table.multiplicities) == 200
 
     def test_parity_and_range(self):
@@ -135,7 +144,7 @@ class TestMultiplicityProperties:
         ens = SpinEnsemble(n, two_s)
         table = sector_multiplicities(ens)
         sector_multiplicities.cache_clear()  # tables at n ~ 2000 hold megabytes
-        assert table.dimension_total() == (two_s + 1) ** n
+        assert dimension_total(table) == (two_s + 1) ** n
         assert list(table.multiplicities) == sorted(table.multiplicities)
         assert all(l > 0 for l in table.multiplicities.values())
 
@@ -143,13 +152,14 @@ class TestMultiplicityProperties:
         ens = SpinEnsemble(4000, 3)
         table = sector_multiplicities(ens)
         sector_multiplicities.cache_clear()
-        assert table.dimension_total() == 4**4000
+        assert dimension_total(table) == 4**4000
         assert max(table.multiplicities) == 12000
 
 
 class TestPartitionFunction:
     def test_j_zero(self):
-        assert block_partition_function(0, 3.7) == 1.0
+        for b in (3.7, math.inf, -math.inf):
+            assert block_partition_function(0, b) == 1.0
 
     @pytest.mark.parametrize("two_j", [1, 2, 7, 40])
     def test_b_zero(self, two_j):
@@ -174,6 +184,21 @@ class TestPartitionFunction:
         for two_j in [0, 1, 6]:
             for b in [0.0, 1e-6, 1.0, 50.0]:
                 assert block_partition_function(two_j, b) >= 1.0
+
+    # b across the old series threshold (2J+1)|b|/2 = 1e-4, and from 1e-300 to 1e5
+    _B = [10.0**k for k in range(-300, 6)] + [3e-9, 7e-5, 1.3e-4, 0.37, 2.5e-3]
+
+    @pytest.mark.parametrize("two_j", [1, 2, 3, 10, 99, 1000, 12345, 10**6])
+    def test_log_against_high_precision_reference(self, two_j):
+        with mpmath.workdps(50):
+            for b in self._B:
+                h = mpmath.mpf(b) / 2
+                want = mpmath.log(mpmath.sinh((two_j + 1) * h) / mpmath.sinh(h))
+                got = log_block_partition_function(two_j, b)
+                assert abs(got - want) <= 1e-13 * abs(want), (two_j, b)
+                assert log_block_partition_function(two_j, -b) == got
+        # b = 5e-324 halves to 0.0: Z_J = 2J+1 exactly, with no log_sinh(0)
+        assert log_block_partition_function(two_j, 5e-324) == math.log(two_j + 1)
 
     def test_log_version_large_arguments(self):
         # (J+1/2)|b| ~ 2525: the value itself overflows but the log is finite,
@@ -226,6 +251,19 @@ class TestThermalProductWeights:
         wm = thermal_product_weights(ens, -1.7).weights
         for tj in wp:
             assert wp[tj] == pytest.approx(wm[tj], rel=1e-14)
+
+    def test_hot_start_against_high_precision_reference(self):
+        # b0 = 1e-7 over 5,001 sectors: every weight within 1e-11 relative of 40
+        # digits, plus the subnormal range's absolute step of 5e-324
+        ens = SpinEnsemble(10000, 1)
+        got = thermal_product_weights(ens, 1e-7).weights
+        with mpmath.workdps(40):
+            h = mpmath.mpf(1e-7) / 2
+            want = {tj: l * mpmath.sinh((tj + 1) * h)
+                    for tj, l in sector_multiplicities(ens).multiplicities.items()}
+            total = mpmath.fsum(want.values())
+            for tj, v in want.items():
+                assert abs(got[tj] - v / total) <= 1e-11 * (v / total) + math.ulp(0.0), tj
 
     def test_against_brute_force_projectors(self):
         # spec-level check: agree with explicit collective-basis construction
@@ -301,6 +339,24 @@ class TestBlockWeightsOrder:
         shuffled, ordered = self._pair()
         for b in self.B:
             assert quantity(shuffled, b) == quantity(ordered, b)
+
+    def test_weights_are_read_only(self):
+        w = symmetric_weights(SpinEnsemble(2, 1))
+        writes = [
+            lambda d: d.__setitem__(0, 5.0), lambda d: d.__delitem__(2), lambda d: d.clear(),
+            lambda d: d.pop(2), lambda d: d.popitem(), lambda d: d.setdefault(0, 5.0),
+            lambda d: d.update({0: 5.0}), lambda d: d.__ior__({0: 5.0}),
+        ]
+        for write in writes:
+            with pytest.raises(TypeError, match="read-only"):
+                write(w.weights)
+        assert w.weights == {2: 1.0}
+        assert collective_heat_capacity(w, 1.0).c_over_kb == block_heat_capacity(2, 1.0)
+        # copies keep the weights and stay read-only
+        for twin in (copy.deepcopy(w.weights), pickle.loads(pickle.dumps(w)).weights):
+            assert twin == w.weights
+            with pytest.raises(TypeError):
+                twin[0] = 5.0
 
     def test_later_changes_to_the_source_mapping_do_not_reach_it(self):
         d = {2: 1.0}

@@ -114,7 +114,7 @@ def parse_spin(text: str) -> int:
             two_s = int(round(val))
             if abs(val - two_s) > 1e-9:
                 raise ValueError
-    except ValueError:
+    except (ValueError, OverflowError):  # OverflowError: int(round(inf))
         raise CliError(f"cannot parse spin {text!r}; use forms like 1/2, 3/2, 1, 2.5") from None
     if two_s < 1:
         raise CliError(f"spin must be >= 1/2, got {text!r}")
@@ -122,7 +122,7 @@ def parse_spin(text: str) -> int:
 
 
 def parse_grid(text: str, positive: bool = True) -> np.ndarray:
-    """Grid spec lo:hi:points:log|lin -> array of grid values."""
+    """Grid spec lo:hi:points:log|lin -> array of grid values, all > 0 (or >= 0 if not positive)."""
     parts = text.split(":")
     if len(parts) != 4:
         raise CliError(f"grid must look like lo:hi:points:log|lin, got {text!r}")
@@ -142,8 +142,8 @@ def parse_grid(text: str, positive: bool = True) -> np.ndarray:
         raise CliError(f"grid bounds must be ordered, got {lo} > {hi}")
     if kind == "log" and lo <= 0.0:
         raise CliError("log grid needs lo > 0")
-    if positive and lo <= 0.0:
-        raise CliError("grid values must be positive here")
+    if lo < 0.0 or positive and lo == 0.0:
+        raise CliError(f"grid values must be {'positive' if positive else '>= 0'} here")
     # numpy gives an empty grid for 0 points and [lo] for 1
     if kind == "log":
         return np.geomspace(lo, hi, points)
@@ -438,12 +438,8 @@ def cmd_dynamics(args) -> None:
         raise CliError(f"--epsilon must be in (0, 1), got {args.epsilon}")
     ensemble = SpinEnsemble(args.n, parse_spin(args.spin))
     weights, provenance = resolve_weights(args.weights, ensemble)
-    if args.bh is None:
-        raise CliError("dynamics needs --bh, the bath inverse temperature hbar*omega*beta")
     rates = RatePair.thermal(args.bh)
     times = parse_grid(args.grid, positive=False) if args.grid else np.empty(0)
-    if times.size and times[0] < 0.0:
-        raise CliError("dynamics times must be >= 0")
     state0 = _initial_state(args, weights, provenance)
     target = stationary_state(state0, rates)
     gen = collective_generator(ensemble, rates)
@@ -546,7 +542,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("dynamics", help="sector-population relaxation trace")
     _add_ensemble(p)
     p.add_argument("--weights", default="symmetric", help="symmetric | thermal=<b0> | file=<path>")
-    p.add_argument("--bh", type=float, default=None, help="bath inverse temperature hbar*omega*beta")
+    p.add_argument("--bh", type=float, required=True, help="bath inverse temperature hbar*omega*beta")
     p.add_argument("--grid", default=None, help="time grid lo:hi:points:log|lin, units 1/G")
     p.add_argument("--epsilon", type=float, default=1e-3, help="TV threshold for the relaxation time")
     p.add_argument("--init", default="auto", help="auto | top | bottom | uniform | gibbs:<b0>")

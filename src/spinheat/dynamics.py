@@ -78,7 +78,10 @@ class RatePair:
     @classmethod
     def thermal(cls, b: float) -> "RatePair":
         """Detailed-balance rates at bath inverse temperature b; g_down = 1 sets the time unit 1/G."""
-        return cls(1.0, math.exp(-b))
+        try:
+            return cls(1.0, math.exp(-b))
+        except OverflowError:  # g_up past the float range, b below about -709.78
+            raise ValueError(f"g_up = exp(-b) overflows at b={b}") from None
 
     @property
     def bath_b(self) -> float:
@@ -363,8 +366,10 @@ def relaxation_time(
         """Lowest level a bisection of a bracket above t_lo can still step by."""
         return math.floor(math.log2(_RESOLUTION * t_lo / h))
 
+    ladders = {tj: generator.blocks[tj] for tj in p_lo}  # each read builds the ladder
+
     def expm_level(k: int) -> dict[int, np.ndarray]:
-        return {tj: _propagator(generator.blocks[tj], h * 2.0**k) for tj in p_lo}
+        return {tj: _propagator(a, h * 2.0**k) for tj, a in ladders.items()}
 
     # levels[i] holds exp(A_J h 2^(floor + i)) for every populated ladder
     floor = finest(h)

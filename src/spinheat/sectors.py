@@ -177,6 +177,8 @@ def thermal_product_weights(ensemble: SpinEnsemble, b0: float) -> BlockWeights:
         tj: math.log(l) + log_block_partition_function(tj, b0) - ensemble.n * log_zs
         for tj, l in table.multiplicities.items()
     }
+    if not all(map(math.isfinite, logw.values())):  # log Z_J overflows near |b0| ~ 1e306
+        raise ValueError(f"thermal sector weights are not finite at b0={b0!r}")
     shift = max(logw.values())
     w = {tj: math.exp(lv - shift) for tj, lv in logw.items()}
     norm = sum(w.values())

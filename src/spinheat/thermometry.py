@@ -96,18 +96,18 @@ def _times_b2(b: float, total: float) -> float:
 
 
 def _ladder_moments(weights: BlockWeights, a: float):
-    """Arrays over sectors of two_j, p_J, Z_J, <k>_J and <k^2>_J on Gibbs ladders at b = a >= 0.
+    """Arrays over sectors of two_j, p_J, Z_J and <k>_J on Gibbs ladders at b = a >= 0.
 
     Counting levels from the bottom, k = m + J, every ladder's unnormalised
     populations are a prefix of one sequence g_k = exp(-k a), k = 0..2J_max.
-    So Z_J, <k>_J and <k^2>_J are prefix sums of g, k g and k^2 g read at
-    k = 2J: sums of positive terms, O(2J_max) for all sectors at once.
+    So Z_J and <k>_J are prefix sums of g and k g read at k = 2J: sums of
+    positive terms, O(2J_max) for all sectors at once.
     """
     two_j, p = (np.array(col) for col in zip(*weights.weights.items()))
     k = np.arange(two_j[-1] + 1, dtype=float)
     g = np.exp(-a * k)
     z = np.cumsum(g)[two_j]
-    return two_j, p, z, np.cumsum(k * g)[two_j] / z, np.cumsum(k * k * g)[two_j] / z
+    return two_j, p, z, np.cumsum(k * g)[two_j] / z
 
 
 def fisher_energy_measurement(weights: BlockWeights, b: float) -> FisherResult:
@@ -140,7 +140,7 @@ def fisher_energy_measurement(weights: BlockWeights, b: float) -> FisherResult:
     if not math.isfinite(b):  # at +-inf, the 0.0 reached past |b| ~ 1.3e154
         return FisherResult(math.nan if math.isnan(b) else 0.0)
     a = abs(b)
-    two_j, p, z, mu, _ = _ladder_moments(weights, a)
+    two_j, p, z, mu = _ladder_moments(weights, a)
     r = math.exp(-a)
     # index i of the sums stands for j = i, or i + 1/2 on half-integer ladders
     top = int(two_j[-1])
@@ -171,14 +171,10 @@ def fisher_collective_projection(weights: BlockWeights, b: float) -> FisherResul
     Resolving the sector restores the pooled information: this measurement
     saturates the quantum bound for every weight vector. Each outcome
     (J, m) has probability p_J q_m and score e_J - m, and e_J is the ladder's
-    mean, so sector J adds p_J var_J, with the variance from prefix sums. No
-    outcome probability is divided by, so one that underflows to zero
-    simply adds nothing.
+    mean, so sector J adds b^2 p_J var_J = p_J C_J: the information is the
+    collective capacity itself, and this returns it.
     """
-    if not math.isfinite(b):  # at +-inf, the 0.0 reached past |b| ~ 1.3e154
-        return FisherResult(math.nan if math.isnan(b) else 0.0)
-    _, p, _, mu, k2 = _ladder_moments(weights, abs(b))
-    return FisherResult(_times_b2(b, float(np.dot(p, k2 - mu * mu))))
+    return FisherResult(collective_heat_capacity(weights, b).c_over_kb)
 
 
 def min_relative_stddev(weights: BlockWeights, b: float, nu: int = 1) -> PrecisionBound:

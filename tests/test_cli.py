@@ -141,7 +141,7 @@ class TestParsers:
         assert parse_spin("2.5") == 5
 
     def test_spin_rejects(self):
-        for bad in ("0", "2/3", "x", "-1/2"):
+        for bad in ("0", "2/3", "x", "-1/2", "inf", "-inf", "1e400"):
             with pytest.raises(CliError):
                 parse_spin(bad)
 
@@ -152,7 +152,6 @@ class TestParsers:
         assert parse_grid("5:9:0:lin").size == 0
         assert parse_grid("5:9:0:log").size == 0
         assert parse_grid("3.7:5e9:1:log").tolist() == [3.7]
-        assert parse_grid("-2.1:5:1:lin", positive=False).tolist() == [-2.1]
 
     def test_grid_rejects(self):
         for bad in ("1:2:3", "2:1:5:log", "0:1:4:log", "1:2:-1:lin", "a:b:c:lin",
@@ -161,6 +160,9 @@ class TestParsers:
                 parse_grid(bad)
         for bad in ("-1e308:1e308:1:lin", "-1e308:1e308:3:lin"):  # hi - lo overflows
             with pytest.raises(CliError, match="span must be finite"):
+                parse_grid(bad, positive=False)
+        for bad in ("-2.1:5:1:lin", "-1e-300:0:3:lin"):
+            with pytest.raises(CliError, match="must be >= 0 here"):
                 parse_grid(bad, positive=False)
 
 
@@ -549,6 +551,19 @@ class TestDynamics:
         assert rc == 0
         assert float(out.split("spectral_gap_G = ")[1].splitlines()[0]) == pytest.approx(2.0)
 
+    def test_negative_times_are_usage_error(self, capsys):
+        rc, out, err = run(capsys, "dynamics", "--n", "2", "--spin", "1/2", "--bh", "1",
+                           "--grid=-1:1:3:lin")
+        assert (rc, out) == (2, "")
+        assert "grid values must be >= 0 here" in err
+
+    def test_negative_temperature_bath(self, capsys):
+        argv = ("dynamics", "--n", "2", "--spin", "1/2", "--grid", "0:1:2:lin")
+        assert run(capsys, *argv, "--bh", "-700")[0] == 0
+        rc, out, err = run(capsys, *argv, "--bh", "-800")
+        assert (rc, out) == (2, "")
+        assert "overflows at b=-800.0" in err
+
     def test_missing_bath_is_usage_error(self, capsys):
         rc, _, err = run(capsys, "dynamics", "--n", "2", "--spin", "1/2", "--grid", "0:1:2:lin")
         assert rc == 2
@@ -641,6 +656,13 @@ class TestExitCodes:
         )
         assert rc == 2
         assert "ordered" in err
+
+    @pytest.mark.parametrize("spin", ["inf", "-inf", "1e400"])
+    def test_infinite_spin(self, capsys, spin):
+        rc, out, err = run(capsys, "sweep", "--n", "2", f"--spin={spin}", "--quantity",
+                           "heat-capacity", "--grid", "1:2:2:lin")
+        assert (rc, out) == (2, "")
+        assert "cannot parse spin" in err
 
     def test_non_finite_grid(self, capsys):
         rc, out, err = run(

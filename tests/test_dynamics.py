@@ -54,6 +54,12 @@ class TestRatePair:
             RatePair.thermal(math.nan)
         assert RatePair.thermal(math.inf).g_up == 0.0
 
+    def test_thermal_refuses_g_up_overflow(self):
+        # a negative b is a negative temperature, down to exp(-b) at the float limit
+        assert RatePair.thermal(-700.0).g_up == math.exp(700.0)
+        with pytest.raises(ValueError, match="overflows at b=-710.0"):
+            RatePair.thermal(-710.0)
+
 
 class TestGenerators:
     def test_qubit_block_by_hand(self):
@@ -541,6 +547,12 @@ class TestLazyGenerator:
         assert built == []
         relaxation_time(aligned_state(symmetric_weights(ens), excited=True), gen)
         assert built == [40]
+
+    @pytest.mark.parametrize("case", [("early", 2, 0.5, 1e-8), ("early", 30, 2.0, 1e-8)])
+    def test_relaxation_builds_each_ladder_once(self, built, case):
+        # an early crossing lowers the finest level during bisection, one expm each time
+        relaxation_time(*relaxation_case(*case))
+        assert built == [case[1]]
 
     def test_evolve_skips_empty_sectors(self, built):
         # at b0 = 60 the weights of the eight sectors with 2J < 16 underflow to 0

@@ -2,6 +2,7 @@ import copy
 import math
 import pickle
 import random
+import re
 
 import mpmath
 
@@ -236,6 +237,14 @@ class TestThermalProductWeights:
         assert sum(w.weights.values()) == pytest.approx(1.0, abs=1e-12)
         assert all(v >= 0.0 for v in w.weights.values())
         assert max(w.weights, key=w.weights.get) not in (0, ens.two_j_max)
+
+    @pytest.mark.parametrize("n, b0", [(3, 1e308), (3, -1e308), (1000, 1e306), (3, math.inf),
+                                       (3, math.nan)])
+    def test_refuses_b0_where_log_z_overflows(self, n, b0):
+        with pytest.raises(ValueError, match=re.escape(f"not finite at b0={b0!r}")):
+            thermal_product_weights(SpinEnsemble(n, 1), b0)
+        if math.isfinite(b0):  # a thousandth of b0 keeps every log Z_J finite
+            assert thermal_product_weights(SpinEnsemble(n, 1), b0 / 1e3).weights[n] == 1.0
 
     def test_concentration_is_monotone(self):
         ens = SpinEnsemble(4, 1)

@@ -14,7 +14,12 @@ from spinheat.sectors import (
     symmetric_weights,
     thermal_product_weights,
 )
-from spinheat.thermo import block_energy, block_heat_capacity, heat_capacity_ratio
+from spinheat.thermo import (
+    block_energy,
+    block_heat_capacity,
+    collective_heat_capacity,
+    heat_capacity_ratio,
+)
 from spinheat.thermometry import (
     ZeroInformationError,
     block_moments,
@@ -191,6 +196,15 @@ class TestCollectiveProjection:
     def test_trivial_weights(self):
         w = BlockWeights(SpinEnsemble(2, 1), {0: 1.0})
         assert fisher_collective_projection(w, 1.0).value == 0.0
+
+    def test_is_the_collective_capacity_bit_for_bit(self):
+        rng = np.random.default_rng(16)
+        for _ in range(30):
+            w = random_weights(rng, int(rng.integers(2, 41)), int(rng.integers(1, 4)))
+            for b in [float(rng.uniform(-20.0, 20.0)), math.inf, -math.inf, math.nan, 1e200]:
+                got = fisher_collective_projection(w, b).value
+                want = collective_heat_capacity(w, b).c_over_kb
+                assert got == want or math.isnan(got) and math.isnan(want)
 
     def test_underflowing_outcome_probabilities(self):
         # hundreds of sectors: p_J q_m underflows to 0 for some (J, m) outcomes

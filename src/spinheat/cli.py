@@ -12,7 +12,7 @@ import configparser
 import json
 import math
 import sys
-from functools import partial
+from functools import cache, partial
 
 import numpy as np
 
@@ -209,23 +209,20 @@ def resolve_weights(spec: str, ensemble: SpinEnsemble) -> tuple[BlockWeights, st
     raise CliError(f"--weights must be symmetric, thermal=<b0> or file=<path>, got {spec!r}")
 
 
-def _fmt(value) -> str:
-    if isinstance(value, float):
-        return repr(float(value))
-    return str(value)
-
-
 def _write(text: str, out: str | None) -> None:
     """Write text to the path `out`, or to stdout when it is not given."""
     if out:
-        with open(out, "w") as fh:
-            fh.write(text)
+        try:
+            with open(out, "w") as fh:
+                fh.write(text)
+        except OSError as exc:
+            raise CliError(f"cannot write {out}: {exc.strerror}") from None
     else:
         sys.stdout.write(text)
 
 
 def emit_table(columns, rows, meta, args, trailing: dict[str, float] | None = None) -> None:
-    """Write the table as CSV or JSON to --out (or stdout)."""
+    """Write the table as CSV or JSON to --out (or stdout); every value is a Python float or int."""
     if args.format == "json":
         payload = {"metadata": meta, "columns": list(columns), "rows": [list(r) for r in rows]}
         if trailing:
@@ -233,9 +230,9 @@ def emit_table(columns, rows, meta, args, trailing: dict[str, float] | None = No
         text = json.dumps(payload, indent=2) + "\n"
     else:
         lines = [",".join(columns)]
-        lines.extend(",".join(_fmt(v) for v in row) for row in rows)
+        lines.extend(",".join(map(repr, row)) for row in rows)
         if trailing:
-            lines.extend(f"# {k} = {_fmt(v)}" for k, v in trailing.items())
+            lines.extend(f"# {k} = {v!r}" for k, v in trailing.items())
         text = "\n".join(lines) + "\n"
     _write(text, args.out)
 
@@ -247,18 +244,20 @@ def _spin_label(two_s: int) -> str:
 def _rows(quantity, curves, grid, nu, extra=None) -> list[list[float]]:
     """One row per grid point x: x, each (ensemble, weights) curve's columns, then extra(x).
 
-    C_col and C_ind are computed once per curve and point, at b = 1/x.
+    At b = 1/x, C_col is computed once per curve and the one-spin capacity once
+    per spin; a curve's C_ind is n times it, as n independent spins are n copies.
     """
     values = _QUANTITIES[quantity][2]
+    one_spins = {ens.two_s: SpinEnsemble(1, ens.two_s) for ens, _ in curves}
     rows = []
     for x in grid:
         x = float(x)
         b = 1.0 / x
+        c_one = {ts: independent_heat_capacity(one, b).c_over_kb for ts, one in one_spins.items()}
         row = [x]
         for ensemble, weights in curves:
             c_col = collective_heat_capacity(weights, b).c_over_kb
-            c_ind = independent_heat_capacity(ensemble, b).c_over_kb
-            row += values(c_col, c_ind, weights, b, x, nu)
+            row += values(c_col, ensemble.n * c_one[ensemble.two_s], weights, b, x, nu)
         if extra is not None:
             row += extra(x)
         rows.append(row)
@@ -496,6 +495,7 @@ def _add_ensemble(p: argparse.ArgumentParser) -> None:
     p.add_argument("--spin", required=True, help='spin magnitude, e.g. "1/2", "3/2", "1"')
 
 
+@cache  # one parser per process; parse_args keeps no state in it
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="spinheat",

@@ -1,13 +1,15 @@
+import argparse
 import hashlib
 import json
 
 import pytest
 
-from spinheat import cli
+from spinheat import __version__, cli
 from spinheat.cli import FIGURES, main, parse_grid, parse_spin
 from spinheat.cli import CliError
 from spinheat.dynamics import RatePair, aligned_state, collective_generator, relaxation_time
 from spinheat.sectors import SpinEnsemble, symmetric_weights, thermal_product_weights
+from spinheat.thermo import collective_heat_capacity, independent_heat_capacity
 
 
 def run(capsys, *argv):
@@ -21,6 +23,10 @@ def parse_csv(text):
     header = lines[0].split(",")
     rows = [[float(v) for v in ln.split(",")] for ln in lines[1:]]
     return header, rows
+
+
+def _digest(out):
+    return hashlib.sha256(out.encode()).hexdigest()
 
 
 _SWEEP = ("--n", "37", "--spin", "3/2", "--weights", "thermal=0.5", "--grid", "0.03:80:33:log")
@@ -130,7 +136,70 @@ class TestGoldenDigests:
     def test_stdout_digest(self, capsys, argv):
         rc, out, _ = run(capsys, *argv)
         assert rc == 0
-        assert hashlib.sha256(out.encode()).hexdigest() == GOLDEN_DIGESTS[argv]
+        assert _digest(out) == GOLDEN_DIGESTS[argv]
+
+
+class TestOneParser:
+    def test_calls_in_one_process_share_no_state(self, capsys, tmp_path):
+        flags = ("--quantity", "precision", "--nu", "7") + _SWEEP
+        cfg = tmp_path / "sweep.ini"
+        cfg.write_text("[sweep]\n" + "".join(
+            f"{flag[2:].replace('-', '_')} = {value}\n" for flag, value in zip(flags[::2], flags[1::2])))
+        calls = [("sweep", "--config", str(cfg)), ("sweep", "--n", "2"), ("--version",),
+                 ("sweep", *flags)] + [("figure", which) for which in sorted(FIGURES)]
+        cli.build_parser.cache_clear()
+        first = [run(capsys, *argv) for argv in calls]
+        assert [run(capsys, *argv) for argv in calls] == first
+        (rc_cfg, via_config, _), (rc_usage, _, usage), (rc_version, version, _), (rc_direct, direct, _) = first[:4]
+        assert (rc_cfg, rc_usage, rc_version, rc_direct) == (0, 2, 0, 0)
+        assert "required" in usage
+        assert version == f"spinheat {__version__}\n"
+        assert _digest(via_config) == _digest(direct) == GOLDEN_DIGESTS[("sweep", *flags)]
+        for argv, (rc, out, _) in zip(calls[4:], first[4:]):
+            assert rc == 0
+            assert _digest(out) == GOLDEN_DIGESTS[argv]
+
+    def test_parser_is_built_at_the_first_call_only(self, capsys, monkeypatch):
+        built = []
+        init = argparse.ArgumentParser.__init__
+
+        def counting_init(self, *args, **kwargs):
+            built.append(self)
+            init(self, *args, **kwargs)
+
+        monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting_init)
+        cli.build_parser.cache_clear()
+        counts = []
+        for _ in range(5):
+            assert run(capsys, "tcr", "--spin", "1/2", "--grid", "2:3:2:lin")[0] == 0
+            counts.append(len(built))
+        assert counts[0] > 0
+        assert counts == counts[:1] * 5
+
+
+class TestCells:
+    def test_cells_are_python_numbers(self, capsys, monkeypatch):
+        # CSV cells are printed with repr, which spells a numpy scalar np.float64(...)
+        tables = []
+        emit = cli.emit_table
+
+        def recording_emit(columns, rows, meta, args, trailing=None):
+            tables.append((meta["command"], rows, trailing or {}))
+            emit(columns, rows, meta, args, trailing)
+
+        monkeypatch.setattr(cli, "emit_table", recording_emit)
+        calls = [("sweep", "--quantity", quantity) + _SWEEP for quantity in cli._QUANTITIES]
+        calls += [("sweep", "--quantity", "work") + _SWEEP + _LAMBDA_C,
+                  ("sweep", "--quantity", "power") + _SWEEP + _DELTA_ETA]
+        calls += [("figure", which, "--grid", "0.5:2:3:log") for which in sorted(FIGURES)]
+        calls += [("tcr", "--spin", "1/2", "--grid", "2:300:7:log"), _DYNAMICS, _DYNAMICS + ("--oracle",)]
+        for argv in calls:
+            assert run(capsys, *argv)[0] == 0
+        assert len(tables) == len(calls)
+        for command, rows, trailing in tables:
+            cells = [value for row in rows for value in row] + list(trailing.values())
+            assert cells and {type(value) for value in cells} <= {float, int}, command
+        assert all(len(trailing) == 2 for _, _, trailing in tables[-2:])
 
 
 class TestParsers:
@@ -374,6 +443,26 @@ class TestFigures:
             s = 0.5 * two_s
             assert rows[-1][col] == pytest.approx((n * s + 1) / (s + 1), rel=0.02)
             assert rows[0][col] == pytest.approx(1.0 / n, rel=0.02)
+
+    @pytest.mark.parametrize("which", ["2a", "3a", "4", "5a"])
+    def test_independent_columns_are_exact(self, capsys, which):
+        quantity, curves, _ = FIGURES[which]
+        _, names, values = cli._QUANTITIES[quantity]
+        rc, out, _ = run(capsys, "figure", which)
+        assert rc == 0
+        header, *lines = out.splitlines()
+        header = header.split(",")
+        for n, two_s in curves:
+            ensemble = SpinEnsemble(n, two_s)
+            weights = symmetric_weights(ensemble)
+            col = header.index(f"{names[1]}_n{n}_s{0.5 * two_s:g}")
+            for line in lines:
+                cells = line.split(",")
+                x = float(cells[0])
+                b = 1.0 / x
+                c_col = collective_heat_capacity(weights, b).c_over_kb
+                c_ind = independent_heat_capacity(ensemble, b).c_over_kb
+                assert cells[col] == repr(values(c_col, c_ind, weights, b, x, 1)[1])
 
 
 class TestTcr:
@@ -637,6 +726,14 @@ class TestConfigFile:
 class TestExitCodes:
     def test_usage_error_from_argparse(self, capsys):
         assert main(["sweep", "--n", "2"]) == 2  # missing required flags
+
+    @pytest.mark.parametrize("dest", [("missing", "x.csv"), ()], ids=["missing directory", "directory"])
+    def test_unwritable_out(self, capsys, tmp_path, dest):
+        rc, out, err = run(capsys, "sweep", "--n", "3", "--spin", "1/2", "--quantity", "heat-capacity",
+                           "--grid", "1:2:3:log", "--out", str(tmp_path.joinpath(*dest)))
+        assert (rc, out) == (2, "")
+        assert err.startswith(f"spinheat: error: cannot write {tmp_path.joinpath(*dest)}: ")
+        assert err.count("\n") == 1
 
     def test_memory_error_is_an_input_error(self, capsys, monkeypatch):
         def exhausted(*args):

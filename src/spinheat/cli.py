@@ -96,7 +96,7 @@ FIGURES: dict[str, tuple[str, tuple[tuple[int, int], ...], str]] = {
 }
 
 
-class CliError(Exception):
+class CliError(ValueError):
     """Usage or specification error (exit code 2)."""
 
 
@@ -179,10 +179,7 @@ def load_weights_file(path: str, ensemble: SpinEnsemble) -> BlockWeights:
         # rescale only what BlockWeights would refuse, so that a file of
         # repr(p_J) lines gives back the weights it was written from
         raw = {tj: p / total for tj, p in raw.items()}
-    try:
-        return BlockWeights(ensemble, raw)
-    except ValueError as exc:
-        raise CliError(str(exc)) from None
+    return BlockWeights(ensemble, raw)
 
 
 def _parse_b0(text: str, what: str) -> float:
@@ -361,11 +358,8 @@ def cmd_figure(args) -> None:
 def cmd_tcr(args) -> None:
     two_s = parse_spin(args.spin)
     grid = parse_grid(args.grid)
-    ns = sorted({int(round(x)) for x in grid})
-    if any(n < 2 for n in ns):
-        raise CliError("tcr needs n >= 2 (no crossover for a single spin)")
     rows = []
-    for n in ns:
+    for n in sorted({int(round(x)) for x in grid}):
         ens = SpinEnsemble(n, two_s)
         approx = critical_temperature_approx(ens)
         numeric = critical_temperature_numeric(ens)
@@ -604,7 +598,7 @@ def main(argv=None) -> int:
         return int(exc.code or 0)
     try:
         args.func(args)
-    except (CliError, ValueError, MemoryError) as exc:  # a bare MemoryError has no message
+    except (ValueError, MemoryError) as exc:  # a bare MemoryError has no message
         print(f"spinheat: error: {str(exc) or 'out of memory'}", file=sys.stderr)
         return 2
     except ArithmeticError as exc:

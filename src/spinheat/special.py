@@ -50,11 +50,12 @@ def ladder_two_m(two_j: int) -> np.ndarray:
 def ladder_boltzmann(two_j: int, b: float) -> np.ndarray:
     """Normalized Gibbs populations exp(-m*b)/Z along one spin-J ladder.
 
-    Index i holds two_m = -two_j + 2*i. Evaluated with a shifted exponent so
-    large |b| never overflows; b = +inf (-inf) puts all weight on the bottom
-    (top) level.
+    Index i holds two_m = -two_j + 2*i. Evaluated with a shifted exponent.
+    Every level but the most populated holds at most e^{-|b|} of the weight,
+    below half the least subnormal past |b| = 746: there b > 0 (< 0) puts all
+    weight on the bottom (top) level exactly, and no shift can overflow.
     """
-    if math.isinf(b):
+    if abs(b) > 746.0:
         w = np.zeros(two_j + 1)
         w[0 if b > 0.0 else -1] = 1.0
         return w

@@ -67,8 +67,6 @@ def block_heat_capacity(two_j: int, b: float) -> float:
     a difference of (x/sinh x)^2 terms. Even in b; zero at b = 0 and for the
     trivial J = 0 sector; small-b limit (J(J+1)/3) b^2.
     """
-    if two_j == 0 or b == 0.0:
-        return 0.0
     ab = abs(b)
     u = 0.5 * ab
     v = 0.5 * (two_j + 1) * ab

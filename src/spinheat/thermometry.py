@@ -22,7 +22,6 @@ __all__ = [
     "FisherResult",
     "PrecisionBound",
     "ZeroInformationError",
-    "block_moments",
     "qfi",
     "qfi_moment_form",
     "fisher_energy_measurement",
@@ -49,29 +48,25 @@ class PrecisionBound:
     bound: float
 
 
-def block_moments(two_j: int, b: float) -> tuple[float, float]:
-    """Mean and variance of J_z on one Gibbs ladder, by direct summation.
-
-    Deliberately independent of the closed forms in `thermo` (shifted-moment
-    accumulation over the explicit level populations), so it can serve as the
-    second route of the Fisher-information cross-check.
-    """
-    pops = ladder_boltzmann(two_j, b)
-    m = ladder_two_m(two_j) * 0.5
-    mean = float(np.dot(pops, m))
-    var = float(np.dot(pops, (m - mean) ** 2))
-    return mean, var
+def _times_b2(b: float, total: float) -> float:
+    """b^2 times a Fisher sum; 0.0 for a zero sum, also where b * b overflows."""
+    return b * b * total if total != 0.0 else 0.0
 
 
 def qfi_moment_form(weights: BlockWeights, b: float) -> float:
-    """Quantum Fisher information (times T^2) from second moments of J_z.
+    """Quantum Fisher information (times T^2) from the variances of J_z.
 
-    b^2 <J_z^2> - b^2 * mean(e_J^2), grouped per sector for stability; this
-    is the variance route, as opposed to the closed-form capacity route.
+    b^2 sum_J p_J var_J, each ladder's mean and variance summed directly
+    over its level populations (shifted-moment accumulation). Independent of
+    the closed forms in `thermo`, so it is the second route of `qfi`.
     """
-    return b * b * sum(
-        p * block_moments(tj, b)[1] for tj, p in weights.weights.items()
-    )
+    total = 0.0
+    for tj, p in weights.weights.items():
+        pops = ladder_boltzmann(tj, b)
+        m = ladder_two_m(tj) * 0.5
+        mean = float(np.dot(pops, m))
+        total += p * float(np.dot(pops, (m - mean) ** 2))
+    return _times_b2(b, total)
 
 
 def qfi(weights: BlockWeights, b: float) -> FisherResult:
@@ -79,8 +74,10 @@ def qfi(weights: BlockWeights, b: float) -> FisherResult:
 
     Evaluated through two independent routes (closed-form ladder capacities
     and direct ladder moments) which must agree; disagreement signals a
-    numerical defect and raises ArithmeticError.
+    numerical defect and raises ArithmeticError. NaN at b = NaN.
     """
+    if math.isnan(b):
+        return FisherResult(math.nan)
     closed = collective_heat_capacity(weights, b).c_over_kb
     moment = qfi_moment_form(weights, b)
     if not abs(closed - moment) <= 1e-10 * max(1.0, abs(closed), abs(moment)):
@@ -88,11 +85,6 @@ def qfi(weights: BlockWeights, b: float) -> FisherResult:
             f"Fisher information cross-check failed: {closed!r} vs {moment!r}"
         )
     return FisherResult(closed)
-
-
-def _times_b2(b: float, total: float) -> float:
-    """b^2 times a Fisher sum; 0.0 for a zero sum, also where b * b overflows."""
-    return b * b * total if total != 0.0 else 0.0
 
 
 def _ladder_moments(weights: BlockWeights, a: float):

@@ -485,6 +485,12 @@ class TestTcr:
         assert rc == 2
         assert "n >= 2" in err
 
+    def test_zero_spins_rejected(self, capsys):
+        # 0.2 rounds to n = 0
+        rc, out, err = run(capsys, "tcr", "--spin", "1/2", "--grid", "0.2:4:3:lin")
+        assert (rc, out) == (2, "")
+        assert "at least one spin" in err
+
 
 class TestSiReport:
     def test_nv_center_numbers(self, capsys):
@@ -576,6 +582,16 @@ class TestDynamics:
         assert rc == 2
         assert out == ""
         assert err.startswith("spinheat: error: --epsilon must be in (0, 1)")
+
+    @pytest.mark.parametrize("n", ["3", "10"])
+    @pytest.mark.parametrize("b0, energy", [("1e308", -1.0), ("-1e308", 1.0)])
+    def test_gibbs_init_past_exponent_overflow(self, capsys, n, b0, energy):
+        # |b0| J overflows; the initial state is the bottom (top) level exactly
+        rc, out, err = run(capsys, "dynamics", "--n", n, "--spin", "1/2", "--bh", "1",
+                           "--grid", "0:1:2:lin", "--init", f"gibbs:{b0}")
+        assert (rc, err) == (0, "")
+        _, rows = parse_csv(out)
+        assert rows[0][1] == energy * int(n) / 2
 
     def test_header_only_for_empty_grid(self, capsys):
         rc, out, _ = run(
@@ -864,6 +880,20 @@ class TestExitCodes:
             assert rc == 2
             assert out == ""
             assert "sum to" in err
+
+    @pytest.mark.parametrize("text, message", [
+        ("3 1.0\n", "two_j=3 is not a sector of SpinEnsemble(n=4, two_s=1)"),
+        ("0 -0.5\n2 1.5\n", "negative or NaN sector weight p[0]=-0.5"),
+    ], ids=["missing sector", "negative weight"])
+    def test_weights_file_that_block_weights_refuses(self, capsys, tmp_path, text, message):
+        path = tmp_path / "w.txt"
+        path.write_text(text)
+        rc, out, err = run(
+            capsys, "sweep", "--n", "4", "--spin", "1/2", "--quantity", "heat-capacity",
+            "--weights", f"file={path}", "--grid", "1:2:2:lin",
+        )
+        assert (rc, out) == (2, "")
+        assert err == f"spinheat: error: {message}\n"
 
     def test_bad_cycle_time(self, capsys):
         for tau in ("0", "nan", "-1", "inf"):

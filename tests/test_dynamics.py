@@ -86,11 +86,13 @@ class TestGenerators:
                 assert np.abs(a @ pi).max() <= 1e-10 * np.abs(a).max()
 
     def test_zero_temperature_ladders_are_one_hot(self):
-        for two_j in [0, 1, 2, 7]:
+        # also where |b| 2J overflows the shifted exponent
+        for two_j in [0, 1, 2, 7, 10, 200]:
             bottom, top = np.zeros(two_j + 1), np.zeros(two_j + 1)
             bottom[0] = top[-1] = 1.0
-            assert np.array_equal(ladder_boltzmann(two_j, math.inf), bottom)
-            assert np.array_equal(ladder_boltzmann(two_j, -math.inf), top)
+            for b in [math.inf, 1.79e308, 1e308, 1e306]:
+                assert np.array_equal(ladder_boltzmann(two_j, b), bottom)
+                assert np.array_equal(ladder_boltzmann(two_j, -b), top)
 
     def test_zero_temperature_stationary_state_is_gibbs_at_inf(self):
         w = thermal_product_weights(SpinEnsemble(4, 1), 0.7)

@@ -83,8 +83,16 @@ class TestBlockEnergy:
 
 class TestBlockHeatCapacity:
     def test_zero_cases(self):
-        assert block_heat_capacity(0, 5.0) == 0.0
-        assert block_heat_capacity(13, 0.0) == 0.0
+        # +0.0 at J = 0, where u = v and either branch subtracts equal terms, and at b = +-0
+        cases = [(0, sb) for b in (1e-300, 0.01, 1.0, 5.0, 1e3, math.inf) for sb in (b, -b)]
+        cases += [(two_j, b) for two_j in (0, 1, 7, 13, 1000) for b in (0.0, -0.0)]
+        for two_j, b in cases:
+            c = block_heat_capacity(two_j, b)
+            assert c == 0.0 and math.copysign(1.0, c) == 1.0, (two_j, b)
+
+    def test_nan_is_nan(self):
+        for two_j in [0, 1, 7]:
+            assert math.isnan(block_heat_capacity(two_j, math.nan))
 
     def test_half_spin_value(self):
         # two-level result b^2 e^b / (1+e^b)^2 at b = 2

@@ -6,6 +6,8 @@ import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
+from spinheat import thermometry
+from spinheat.dynamics import gibbs_state
 from spinheat.sectors import (
     BlockWeights,
     SpinEnsemble,
@@ -22,7 +24,6 @@ from spinheat.thermo import (
 )
 from spinheat.thermometry import (
     ZeroInformationError,
-    block_moments,
     fisher_collective_projection,
     fisher_energy_measurement,
     min_relative_stddev,
@@ -120,10 +121,24 @@ class TestQfi:
         got = qfi(w, 2.0)
         assert got.value == pytest.approx(0.41997434161402614, rel=1e-12)
 
-    def test_nan_route_fails_the_cross_check(self):
-        # b*b overflows in the moment route and times a zero variance gives NaN
+    @pytest.mark.parametrize("bad", [lambda c: math.nan, lambda c: c * (1.0 + 1e-9)],
+                             ids=["nan", "relative-1e-9"])
+    def test_disagreeing_routes_fail_the_cross_check(self, monkeypatch, bad):
+        w = symmetric_weights(SpinEnsemble(3, 1))
+        closed = collective_heat_capacity(w, 2.0).c_over_kb
+        monkeypatch.setattr(thermometry, "qfi_moment_form", lambda weights, b: bad(closed))
         with pytest.raises(ArithmeticError, match="cross-check"):
-            qfi(symmetric_weights(SpinEnsemble(3, 1)), 1e200)
+            qfi(w, 2.0)
+
+    @pytest.mark.parametrize("b", [math.inf, -math.inf, 1e200, -1e200, 1e155, 800.0, math.nan])
+    @pytest.mark.parametrize("weights", [symmetric_weights, lambda e: thermal_product_weights(e, 0.5)],
+                             ids=["symmetric", "thermal"])
+    def test_is_the_projection_at_every_b(self, weights, b):
+        # past |b| = 1.34e154 b * b overflows, and the moment route's zero
+        # variance goes through the shared b^2 rule, as the projection's does
+        w = weights(SpinEnsemble(10, 1))
+        got, want = qfi(w, b).value, fisher_collective_projection(w, b).value
+        assert got == want or math.isnan(got) and math.isnan(want)
 
     def test_moment_form_agrees(self):
         rng = np.random.default_rng(11)
@@ -142,13 +157,16 @@ class TestQfi:
             assert got / base == pytest.approx(want, rel=0.02)
 
 
-class TestBlockMoments:
+class TestDirectLadderSums:
     def test_against_closed_forms(self):
+        # qfi_moment_form's variance and the Gibbs state's mean on one-sector weights
         for two_j in [1, 4, 31]:
+            w = symmetric_weights(SpinEnsemble(two_j, 1))
             for b in [0.03, 1.0, 14.0]:
-                mean, var = block_moments(two_j, b)
-                assert mean == pytest.approx(block_energy(two_j, b), rel=1e-11, abs=1e-13)
-                assert b * b * var == pytest.approx(
+                assert gibbs_state(w, b).energy() == pytest.approx(
+                    block_energy(two_j, b), rel=1e-11, abs=1e-13
+                )
+                assert qfi_moment_form(w, b) == pytest.approx(
                     block_heat_capacity(two_j, b), rel=1e-10, abs=1e-16
                 )
 

@@ -44,6 +44,7 @@ from .thermo import (
     independent_heat_capacity,
 )
 from .otto import OttoParams, cycle_exact, normalized_work
+from .special import ladder_two_m
 from . import oracle
 
 K_B = 1.380649e-23  # J/K
@@ -437,12 +438,9 @@ def cmd_dynamics(args) -> None:
     target = stationary_state(state0, rates)
     gen = collective_generator(ensemble, rates)
 
-    pop_keys = []
-    if args.populations:
-        for tj, p in state0.blocks.items():
-            pop_keys += [(tj, -tj + 2 * i) for i in range(len(p))]
+    sectors = list(state0.blocks) if args.populations else []
     columns = ["t_in_inv_G", "energy_over_hw", "tv_to_steady"]
-    columns += [f"pop_2J{tj}_2m{tm}" for tj, tm in pop_keys]
+    columns += [f"pop_2J{tj}_2m{tm}" for tj in sectors for tm in ladder_two_m(tj)]
 
     # (energy, sector populations) at each time; each route keeps its own energy
     if args.oracle:
@@ -456,7 +454,7 @@ def cmd_dynamics(args) -> None:
     rows = []
     for t, (energy, pops) in zip(times, states):
         row = [float(t), energy, pops.tv_distance(target)]
-        row += [float(pops.blocks[tj][(tm + tj) // 2]) for tj, tm in pop_keys]
+        row += [float(v) for tj in sectors for v in pops.blocks[tj]]
         rows.append(row)
 
     trailing = None

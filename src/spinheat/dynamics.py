@@ -92,7 +92,7 @@ class RatePair:
 
 
 def _ladder_rates(two_j: int, rates: RatePair) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """(diagonal, up, down) of the spin-J ladder, level i at two_m = -two_j + 2i.
+    """(diagonal, up, down) of the spin-J ladder, level i at two_m = ladder_two_m(two_j)[i].
 
     up[i] = g_up (J-m)(J+m+1) is the rate i -> i+1, down[i] the same with g_down for i+1 -> i.
     """
@@ -161,8 +161,8 @@ def collective_generator(ensemble: SpinEnsemble, rates: RatePair) -> RateGenerat
 class PopulationState:
     """Degeneracy-aggregated ladder populations p_{J,m}, one vector per sector.
 
-    blocks[two_j][i] holds the population of two_m = -two_j + 2i. Total mass
-    is 1; collective dynamics conserves each sector's mass separately.
+    blocks[two_j][i] holds the population of two_m = ladder_two_m(two_j)[i].
+    Total mass is 1; collective dynamics conserves each sector's mass separately.
     """
 
     blocks: dict[int, np.ndarray]
@@ -205,13 +205,8 @@ def gibbs_state(weights: BlockWeights, b: float) -> PopulationState:
 
 
 def aligned_state(weights: BlockWeights, excited: bool = False) -> PopulationState:
-    """All in-sector mass at the bottom (m = -J) or, with excited=True, top (m = +J)."""
-    blocks = {}
-    for tj, p in weights.weights.items():
-        v = np.zeros(tj + 1)
-        v[-1 if excited else 0] = p
-        blocks[tj] = v
-    return PopulationState(blocks)
+    """All in-sector mass at m = -J, or at m = +J with excited=True: Gibbs at b = +inf (-inf)."""
+    return gibbs_state(weights, -math.inf if excited else math.inf)
 
 
 def uniform_state(weights: BlockWeights) -> PopulationState:

@@ -116,13 +116,15 @@ def product_thermal_state(ensemble: SpinEnsemble, b0: float) -> DensityMatrix:
 
 
 @lru_cache(maxsize=None)
-def sector_isometries(ensemble: SpinEnsemble) -> dict[int, dict[int, np.ndarray]]:
+def sector_isometries(ensemble: SpinEnsemble) -> dict[int, list[np.ndarray]]:
     """Isometries onto every (J, m) eigenspace, ladder-consistent across m.
 
     For each sector the m = J level is an eigenspace of the total-spin
     Casimir inside the top J_z eigenspace; lower levels are generated by
     applying J_minus, which keeps the degeneracy index aligned between
-    neighboring m. Returns {two_j: {two_m: V}} with V of shape (dim, l_J).
+    neighboring m. Returns {two_j: [V_0, ..., V_2J]} in level order (V_i at
+    two_m = ladder_two_m(two_j)[i], the order of every population vector),
+    each V of shape (dim, l_J).
     """
     jz, jp, jm = collective_operators(ensemble)
     dim = ensemble.dim
@@ -140,30 +142,25 @@ def sector_isometries(ensemble: SpinEnsemble) -> dict[int, dict[int, np.ndarray]
             two_j = int(round(math.sqrt(4.0 * lam + 1.0) - 1.0))
             top.setdefault(two_j, {}).setdefault(int(two_m), []).append(full[:, col])
 
-    iso: dict[int, dict[int, np.ndarray]] = {}
+    iso: dict[int, list[np.ndarray]] = {}
     for two_j, by_m in top.items():
         v = np.column_stack(by_m[two_j])  # the m = J level
-        ladders = {two_j: v}
+        ladder = [v]
         j = 0.5 * two_j
         for two_m in range(two_j, -two_j, -2):
             m = 0.5 * two_m
             v = (jm @ v) / math.sqrt((j + m) * (j - m + 1))
-            ladders[two_m - 2] = v
-        iso[two_j] = ladders
+            ladder.append(v)
+        iso[two_j] = ladder[::-1]
     return iso
 
 
 def sector_populations(rho: DensityMatrix) -> PopulationState:
     """Degeneracy-aggregated (J, m) populations Tr[P_{J,m} rho]."""
-    iso = sector_isometries(rho.ensemble)
-    blocks = {}
-    for tj, ladders in iso.items():
-        p = np.empty(tj + 1)
-        for i, two_m in enumerate(range(-tj, tj + 1, 2)):
-            v = ladders[two_m]
-            p[i] = max(float(np.trace(v.T @ rho.matrix @ v).real), 0.0)
-        blocks[tj] = p
-    return PopulationState(blocks)
+    return PopulationState({
+        tj: np.array([max(float(np.trace(v.T @ rho.matrix @ v).real), 0.0) for v in ladder])
+        for tj, ladder in sector_isometries(rho.ensemble).items()
+    })
 
 
 def state_from_populations(state: PopulationState, ensemble: SpinEnsemble) -> DensityMatrix:
@@ -175,10 +172,8 @@ def state_from_populations(state: PopulationState, ensemble: SpinEnsemble) -> De
     iso = sector_isometries(ensemble)
     out = np.zeros((ensemble.dim, ensemble.dim), dtype=complex)
     for tj, p in state.blocks.items():
-        ladders = iso[tj]
-        for i, two_m in enumerate(range(-tj, tj + 1, 2)):
-            v = ladders[two_m]
-            out += (p[i] / v.shape[1]) * (v @ v.T)
+        for p_m, v in zip(p, iso[tj]):
+            out += (p_m / v.shape[1]) * (v @ v.T)
     return DensityMatrix(ensemble, out)
 
 
@@ -191,15 +186,12 @@ def expected_steady_state(rho0: DensityMatrix, rates: RatePair) -> DensityMatrix
     For initial states without inter-degeneracy coherences this is exactly
     the sector-weighted mixture of Gibbs ladders.
     """
-    iso = sector_isometries(rho0.ensemble)
     dim = rho0.ensemble.dim
     out = np.zeros((dim, dim), dtype=complex)
-    for tj, ladders in iso.items():
-        sigma = sum(v.T @ rho0.matrix @ v for v in ladders.values())
-        pops = ladder_boltzmann(tj, rates.bath_b)
-        for i, two_m in enumerate(range(-tj, tj + 1, 2)):
-            v = ladders[two_m]
-            out += pops[i] * (v @ sigma @ v.T)
+    for tj, ladder in sector_isometries(rho0.ensemble).items():
+        sigma = sum(v.T @ rho0.matrix @ v for v in ladder)
+        for pi_m, v in zip(ladder_boltzmann(tj, rates.bath_b), ladder):
+            out += pi_m * (v @ sigma @ v.T)
     return DensityMatrix(rho0.ensemble, _hermitize(out))
 
 

@@ -46,7 +46,9 @@ def block_energy(two_j: int, b: float) -> float:
     Closed form (1/2)coth(b/2) - (J+1/2)coth((J+1/2)b); odd in b, zero at
     b = 0, decreasing in b, saturating to -J as b -> +inf.
     """
-    if two_j == 0 or b == 0.0:
+    if math.isnan(b):
+        return math.nan
+    if two_j == 0 or b == 0.0:  # +0.0 for either sign of b
         return 0.0
     jp = 0.5 * (two_j + 1)  # J + 1/2
     v = jp * b

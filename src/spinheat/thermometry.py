@@ -147,7 +147,7 @@ def fisher_energy_measurement(weights: BlockWeights, b: float) -> FisherResult:
         m_j = wmi + r * m_j
         sums.append((a_j, m_j, c_j))
     big_a, big_m, big_c = np.array(sums[::-1]).T
-    two_m = np.arange(-top, top + 1, 2)
+    two_m = ladder_two_m(top)
     i = np.abs(two_m) // 2
     up = np.maximum(two_m, 0)  # m + |m|
     seen = big_a[i] > 0.0

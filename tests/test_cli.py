@@ -7,7 +7,13 @@ import pytest
 from spinheat import __version__, cli
 from spinheat.cli import FIGURES, main, parse_grid, parse_spin
 from spinheat.cli import CliError
-from spinheat.dynamics import RatePair, aligned_state, collective_generator, relaxation_time
+from spinheat.dynamics import (
+    RatePair,
+    aligned_state,
+    collective_generator,
+    relaxation_time,
+    uniform_state,
+)
 from spinheat.sectors import SpinEnsemble, symmetric_weights, thermal_product_weights
 from spinheat.thermo import collective_heat_capacity, independent_heat_capacity
 
@@ -32,6 +38,8 @@ def _digest(out):
 _SWEEP = ("--n", "37", "--spin", "3/2", "--weights", "thermal=0.5", "--grid", "0.03:80:33:log")
 _DELTA_ETA = ("--lambda-h", "1.0", "--bc", "1.5", "--delta-eta", "1e-3")
 _LAMBDA_C = ("--lambda-h", "1.0", "--lambda-c", "0.8", "--bc", "1.5", "--tau-ind", "1.7")
+# later flags override earlier ones, so a test appends the one it varies
+_HC = ("sweep", "--n", "2", "--spin", "1/2", "--quantity", "heat-capacity", "--grid", "1:2:2:lin")
 _DYNAMICS = ("dynamics", "--n", "4", "--spin", "1/2", "--weights", "thermal=0.5", "--bh", "2",
              "--grid", "0:3:7:lin", "--populations")
 
@@ -613,6 +621,27 @@ class TestDynamics:
         tv = [row[2] for row in rows]
         assert all(a >= b for a, b in zip(tv, tv[1:]))
 
+    def test_uniform_init_populations(self, capsys):
+        # the t = 0 row is the initial state itself, one cell per level in level order
+        rc, out, err = run(capsys, "dynamics", "--n", "3", "--spin", "1/2", "--weights", "thermal=0.5",
+                           "--bh", "1", "--init", "uniform", "--grid", "0:1:2:lin", "--populations")
+        assert (rc, err) == (0, "")
+        header, rows = parse_csv(out)
+        assert header[3:] == ["pop_2J1_2m-1", "pop_2J1_2m1",
+                              "pop_2J3_2m-3", "pop_2J3_2m-1", "pop_2J3_2m1", "pop_2J3_2m3"]
+        want = uniform_state(thermal_product_weights(SpinEnsemble(3, 1), 0.5))
+        assert rows[0][3:] == [*want.blocks[1].tolist(), *want.blocks[3].tolist()]
+
+    def test_json_metadata_carries_the_csv_trailer(self, capsys):
+        rc, csv_out, _ = run(capsys, *_DYNAMICS)
+        rc_json, json_out, err = run(capsys, *_DYNAMICS, "--format", "json")
+        assert (rc, rc_json, err) == (0, 0, "")
+        trailer = dict(line[2:].split(" = ") for line in csv_out.splitlines() if line.startswith("# "))
+        assert sorted(trailer) == ["relaxation_time_inv_G", "spectral_gap_G"]
+        payload = json.loads(json_out)
+        assert {k: payload["metadata"][k] for k in trailer} == {k: float(v) for k, v in trailer.items()}
+        assert [payload["columns"], payload["rows"]] == list(parse_csv(csv_out))
+
     def test_oracle_matches_rate_equations(self, capsys):
         argv = ("dynamics", "--n", "2", "--spin", "1/2", "--bh", "2",
                 "--grid", "0:2:5:lin", "--init", "top")
@@ -856,6 +885,36 @@ class TestExitCodes:
         )
         assert rc == 2
         assert "--nu" in err
+
+    @pytest.mark.parametrize("argv, message", [
+        (("dynamics", "--n", "2", "--spin", "1/2", "--bh", "1", "--init", "sideways"),
+         "--init must be auto, top, bottom, uniform or gibbs:<b0>, got 'sideways'"),
+        (_HC + ("--weights", "bogus"), "--weights must be symmetric, thermal=<b0> or file=<path>, got 'bogus'"),
+        (_HC + ("--weights", "thermal=abc"), "bad thermal weights spec 'thermal=abc'"),
+        (_HC + ("--grid", "1:2:2:cubic"), "grid kind must be log or lin, got 'cubic'"),
+        (_HC + ("--spin", "3/4"), "cannot parse spin '3/4'; use forms like 1/2, 3/2, 1, 2.5"),
+        (_HC + ("--spin", "0.75"), "cannot parse spin '0.75'; use forms like 1/2, 3/2, 1, 2.5"),
+        (_HC + ("--config",), "--config needs a file path"),
+        (("--config", "spinheat.ini"), "--config given but no subcommand"),
+    ], ids=" ".join)
+    def test_usage_error_message(self, capsys, argv, message):
+        rc, out, err = run(capsys, *argv)
+        assert (rc, out) == (2, "")
+        assert err == f"spinheat: error: {message}\n"
+
+    @pytest.mark.parametrize("text, message", [
+        ("0 0.5 1\n", "{path}:1: expected 'two_J p_J', got '0 0.5 1'"),
+        ("# sectors\n2 half\n", "{path}:2: cannot parse '2 half'"),
+        ("# no sectors\n\n", "weights file {path} has no entries"),
+        (None, "cannot read weights file {path}: [Errno 2] No such file or directory: '{path}'"),
+    ], ids=["three fields", "unparsable", "only comments", "missing"])
+    def test_unreadable_weights_file(self, capsys, tmp_path, text, message):
+        path = tmp_path / "w.txt"
+        if text is not None:
+            path.write_text(text)
+        rc, out, err = run(capsys, *_HC, "--weights", f"file={path}")
+        assert (rc, out) == (2, "")
+        assert err == f"spinheat: error: {message.format(path=path)}\n"
 
     def test_numeric_failure_is_exit_3(self, capsys, tmp_path):
         # all weight on the trivial sector: precision bound diverges

@@ -156,6 +156,17 @@ class TestPopulationState:
             pytest.approx(0.0, abs=1e-14)
         )
 
+    @pytest.mark.parametrize("b0", [0.7, 40.0, 800.0])  # at 800 every sector but the top has p = 0
+    def test_aligned_state_is_one_hot(self, b0):
+        w = thermal_product_weights(SpinEnsemble(6, 1), b0)
+        for excited, end in ((False, 0), (True, -1)):
+            got = aligned_state(w, excited).blocks
+            assert list(got) == [0, 2, 4, 6]
+            for tj, p in w.weights.items():
+                want = np.zeros(tj + 1)
+                want[end] = p
+                assert got[tj].tobytes() == want.tobytes(), (excited, tj)
+
     def test_tv_distance(self):
         w = symmetric_weights(SpinEnsemble(2, 1))
         bottom = aligned_state(w)

@@ -22,7 +22,7 @@ from spinheat.sectors import (
     symmetric_weights,
     thermal_product_weights,
 )
-from spinheat.special import ladder_boltzmann
+from spinheat.special import ladder_boltzmann, ladder_two_m
 
 
 def random_diagonal_state(rng, ensemble):
@@ -51,23 +51,25 @@ class TestSectorIsometries:
         table = sector_multiplicities(ens).multiplicities
         assert sorted(iso) == sorted(table)
         total = np.zeros((ens.dim, ens.dim))
-        for tj, ladders in iso.items():
-            assert len(ladders) == tj + 1
-            for v in ladders.values():
+        for tj, ladder in iso.items():
+            assert len(ladder) == tj + 1
+            for v in ladder:
                 assert v.shape == (ens.dim, table[tj])
                 assert v.T @ v == pytest.approx(np.eye(table[tj]), abs=1e-10)
                 total += v @ v.T
         assert total == pytest.approx(np.eye(ens.dim), abs=1e-10)
 
     def test_eigenvector_property(self):
-        ens = SpinEnsemble(3, 1)
-        jz, jp, jm = oracle.collective_operators(ens)
-        j2 = jz @ jz + 0.5 * (jp @ jm + jm @ jp)
-        for tj, ladders in oracle.sector_isometries(ens).items():
-            j = 0.5 * tj
-            for tm, v in ladders.items():
-                assert j2 @ v == pytest.approx(j * (j + 1) * v, abs=1e-9)
-                assert jz @ v == pytest.approx(0.5 * tm * v, abs=1e-9)
+        # V_i is the level at two_m = ladder_two_m(two_j)[i], the population-vector order
+        for ens in (SpinEnsemble(3, 1), SpinEnsemble(2, 3), SpinEnsemble(4, 1)):
+            jz, jp, jm = oracle.collective_operators(ens)
+            j2 = jz @ jz + 0.5 * (jp @ jm + jm @ jp)
+            for tj, ladder in oracle.sector_isometries(ens).items():
+                j = 0.5 * tj
+                assert len(ladder) == len(ladder_two_m(tj))
+                for tm, v in zip(ladder_two_m(tj), ladder):
+                    assert j2 @ v == pytest.approx(j * (j + 1) * v, abs=1e-9)
+                    assert jz @ v == pytest.approx(0.5 * tm * v, abs=1e-9)
 
 
 class TestSectorProjections:

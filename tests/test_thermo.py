@@ -46,8 +46,20 @@ def random_weights(rng, n, two_s):
 
 class TestBlockEnergy:
     def test_zero_cases(self):
-        assert block_energy(0, 1.2) == 0.0
-        assert block_energy(7, 0.0) == 0.0
+        # +0.0 at J = 0 for either sign of b, where -b * 0.0 would be -0.0, and at b = +-0
+        cases = [(0, sb) for b in (1e-300, 1.0, 1.2, math.inf) for sb in (b, -b)]
+        cases += [(two_j, b) for two_j in (0, 1, 7) for b in (0.0, -0.0)]
+        for two_j, b in cases:
+            e = block_energy(two_j, b)
+            assert e == 0.0 and math.copysign(1.0, e) == 1.0, (two_j, b)
+
+    def test_nan_is_nan(self):
+        # also at J = 0, so weights all on J = 0 read NaN from the energy as from the capacity
+        for two_j in [0, 1, 7]:
+            assert math.isnan(block_energy(two_j, math.nan))
+        w = BlockWeights(SpinEnsemble(2, 1), {0: 1.0})
+        assert math.isnan(steady_state_energy(w, math.nan))
+        assert math.isnan(collective_heat_capacity(w, math.nan).c_over_kb)
 
     def test_half_spin_closed_form(self):
         # e_{1/2}(b) = -(1/2) tanh(b/2)

@@ -36,12 +36,11 @@ from .sectors import (
     thermal_product_weights,
 )
 from .thermo import (
+    _capacity_column,
     _capacity_ratio,
-    collective_heat_capacity,
     critical_temperature_approx,
     critical_temperature_numeric,
     heat_capacity_ratio,
-    independent_heat_capacity,
 )
 from .otto import OttoParams, cycle_exact, normalized_work
 from .special import ladder_two_m
@@ -242,20 +241,22 @@ def _spin_label(two_s: int) -> str:
 def _rows(quantity, curves, grid, nu, extra=None) -> list[list[float]]:
     """One row per grid point x: x, each (ensemble, weights) curve's columns, then extra(x).
 
-    At b = 1/x, C_col is computed once per curve and the one-spin capacity once
-    per spin; a curve's C_ind is n times it, as n independent spins are n copies.
+    Capacities come a column at a time over b = 1/x: C_col once per curve and
+    the one-spin capacity once per spin; a curve's C_ind is n times it, as n
+    independent spins are n copies.
     """
     values = _QUANTITIES[quantity][2]
-    one_spins = {ens.two_s: SpinEnsemble(1, ens.two_s) for ens, _ in curves}
+    xs = [float(x) for x in grid]
+    bs = [1.0 / x for x in xs]
+    c_one = {ts: _capacity_column(symmetric_weights(SpinEnsemble(1, ts)), bs)
+             for ts in {ens.two_s for ens, _ in curves}}
+    columns = [(_capacity_column(weights, bs), ens.n, c_one[ens.two_s], weights)
+               for ens, weights in curves]
     rows = []
-    for x in grid:
-        x = float(x)
-        b = 1.0 / x
-        c_one = {ts: independent_heat_capacity(one, b).c_over_kb for ts, one in one_spins.items()}
+    for i, (x, b) in enumerate(zip(xs, bs)):
         row = [x]
-        for ensemble, weights in curves:
-            c_col = collective_heat_capacity(weights, b).c_over_kb
-            row += values(c_col, ensemble.n * c_one[ensemble.two_s], weights, b, x, nu)
+        for col, n, one, weights in columns:
+            row += values(col[i], n * one[i], weights, b, x, nu)
         if extra is not None:
             row += extra(x)
         rows.append(row)

@@ -96,8 +96,8 @@ def _ladder_rates(two_j: int, rates: RatePair) -> tuple[np.ndarray, np.ndarray, 
 
     up[i] = g_up (J-m)(J+m+1) is the rate i -> i+1, down[i] the same with g_down for i+1 -> i.
     """
-    i = np.arange(two_j)
-    fac = (two_j - i) * (i + 1.0)  # (J-m)(J+m+1) at m = -J + i, exact
+    tm = ladder_two_m(two_j)[:-1]  # levels 0 .. 2J-1, the ones with a level above
+    fac = (two_j - tm) * (two_j + tm + 2) / 4.0  # (J-m)(J+m+1), an exact integer over 4
     up, down = rates.g_up * fac, rates.g_down * fac
     diag = np.zeros(two_j + 1)
     diag[1:] -= down

@@ -89,10 +89,25 @@ class HeatCapacityResult:
     c_over_kb: float
 
 
+def _capacity_column(weights: BlockWeights, bs) -> list[float]:
+    """sum_J p_J C_J(b) at each b of bs, summed left to right in ascending two_j.
+
+    The loop from int 0 adds as sum() does on Python 3.11; it stays explicit
+    because 3.12's sum() compensates float sums.
+    """
+    items = list(weights.weights.items())
+    column = []
+    for b in bs:
+        c = 0
+        for tj, p in items:
+            c += p * block_heat_capacity(tj, b)
+        column.append(c)
+    return column
+
+
 def collective_heat_capacity(weights: BlockWeights, b: float) -> HeatCapacityResult:
     """Weighted sector sum sum_J p_J C_J(b); the capacity of the collective steady state."""
-    c = sum(p * block_heat_capacity(tj, b) for tj, p in weights.weights.items())
-    return HeatCapacityResult(c)
+    return HeatCapacityResult(_capacity_column(weights, (b,))[0])
 
 
 def independent_heat_capacity(ensemble: SpinEnsemble, b: float) -> HeatCapacityResult:

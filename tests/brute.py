@@ -6,11 +6,20 @@ multiplicities and sector weights of diagonal states for dimensions up to
 ~1024. Also holds the iterated-coupling count of sector multiplicities, an
 exact integer oracle for any n, and the per-sector loops that computed the
 energy-measurement and projection Fisher information before ladder prefix
-sums replaced them.
+sums replaced them, and the random-weights strategies the property tests share.
 """
 
 import numpy as np
+from hypothesis import assume
+from hypothesis import strategies as st
 
+from spinheat.sectors import (
+    BlockWeights,
+    SpinEnsemble,
+    sector_multiplicities,
+    symmetric_weights,
+    thermal_product_weights,
+)
 from spinheat.special import ladder_boltzmann, ladder_two_m
 from spinheat.thermo import block_energy
 
@@ -127,7 +136,7 @@ def fisher_energy_by_sector(weights, b):
             continue
         q = ladder_boltzmann(tj, b)
         m = ladder_two_m(tj) * 0.5
-        idx = (ladder_two_m(tj) + tj_top) // 2
+        idx = np.searchsorted(ladder_two_m(tj_top), ladder_two_m(tj))  # same m on the top ladder
         e = block_energy(tj, b)
         prob[idx] += p * q
         dprob[idx] += p * q * (e - m)
@@ -149,3 +158,26 @@ def fisher_projection_by_sector(weights, b):
         m = ladder_two_m(tj) * 0.5
         fb += p * float(np.dot(q, (block_energy(tj, b) - m) ** 2))
     return b * b * fb
+
+
+small_ensembles = st.builds(SpinEnsemble, st.integers(1, 40), st.integers(1, 5))
+
+
+@st.composite
+def block_weights(draw):
+    """Random weights, some of them zero, over the sectors of an ensemble with n <= 40, 2s <= 5."""
+    ens = draw(small_ensembles)
+    keys = sorted(sector_multiplicities(ens).multiplicities)
+    raw = draw(st.lists(st.one_of(st.just(0.0), st.floats(0.0, 1.0)),
+                        min_size=len(keys), max_size=len(keys)))
+    assume(sum(raw) > 0.0)
+    return BlockWeights(ens, {tj: r / sum(raw) for tj, r in zip(keys, raw)})
+
+
+def weights_of_every_kind():
+    """Random weights with zeros, thermal weights at b0 in [-40, 40], or symmetric weights."""
+    return st.one_of(
+        block_weights(),
+        st.builds(thermal_product_weights, small_ensembles, st.floats(-40.0, 40.0)),
+        st.builds(symmetric_weights, small_ensembles),
+    )

@@ -3,6 +3,8 @@ import hashlib
 import json
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from spinheat import __version__, cli
 from spinheat.cli import FIGURES, main, parse_grid, parse_spin
@@ -16,6 +18,8 @@ from spinheat.dynamics import (
 )
 from spinheat.sectors import SpinEnsemble, symmetric_weights, thermal_product_weights
 from spinheat.thermo import collective_heat_capacity, independent_heat_capacity
+
+from brute import weights_of_every_kind
 
 
 def run(capsys, *argv):
@@ -471,6 +475,42 @@ class TestFigures:
                 c_col = collective_heat_capacity(weights, b).c_over_kb
                 c_ind = independent_heat_capacity(ensemble, b).c_over_kb
                 assert cells[col] == repr(values(c_col, c_ind, weights, b, x, 1)[1])
+
+
+def rows_by_point(quantity, curves, grid, nu):
+    """_rows written point by point: both capacities from the thermo calls at each x."""
+    values = cli._QUANTITIES[quantity][2]
+    rows = []
+    for x in map(float, grid):
+        b = 1.0 / x
+        row = [x]
+        for ensemble, weights in curves:
+            row += values(collective_heat_capacity(weights, b).c_over_kb,
+                          independent_heat_capacity(ensemble, b).c_over_kb, weights, b, x, nu)
+        rows.append(row)
+    return rows
+
+
+class TestRows:
+    @settings(max_examples=150, deadline=None, derandomize=True)
+    @given(quantity=st.sampled_from(sorted(cli._QUANTITIES)),
+           weights=st.lists(weights_of_every_kind(), min_size=1, max_size=4),
+           grid=st.lists(st.one_of(st.floats(1e-3, 1e3), st.sampled_from(
+               [5e-324, 1e-300, 1e-155, 1e155, 1e300, 1.7976931348623157e308])), max_size=25),
+           nu=st.integers(1, 100))
+    def test_columns_equal_the_pointwise_rows(self, quantity, weights, grid, nu):
+        # curves mix spins and weight kinds; a capacity that vanishes or a
+        # theta_h**2 that underflows must fail at the same point with the same message
+        curves = [(w.ensemble, w) for w in weights]
+        try:
+            want = rows_by_point(quantity, curves, grid, nu)
+        except ArithmeticError as exc:
+            with pytest.raises(type(exc)) as got:
+                cli._rows(quantity, curves, grid, nu)
+            assert str(got.value) == str(exc)
+            return
+        got = cli._rows(quantity, curves, grid, nu)
+        assert [list(map(repr, row)) for row in got] == [list(map(repr, row)) for row in want]
 
 
 class TestTcr:

@@ -12,6 +12,7 @@ from spinheat.dynamics import (
     ConvergenceError,
     PopulationState,
     RatePair,
+    _ladder_rates,
     _propagator,
     _square,
     aligned_state,
@@ -101,6 +102,20 @@ class TestGenerators:
         assert sorted(got.blocks) == sorted(want.blocks)
         for tj, p in want.blocks.items():
             assert np.array_equal(got.blocks[tj], p)
+
+    def test_ladder_rates_match_the_level_index_form(self):
+        # the rates read the level layout from ladder_two_m; bit for bit they
+        # are the index form (2J - i)(i + 1) of level i at m = -J + i
+        r = RatePair.thermal(0.7)
+        for two_j in range(2001):
+            i = np.arange(two_j)
+            fac = (two_j - i) * (i + 1.0)
+            up, down = r.g_up * fac, r.g_down * fac
+            diag = np.zeros(two_j + 1)
+            diag[1:] -= down
+            diag[:-1] -= up
+            for got, want in zip(_ladder_rates(two_j, r), (diag, up, down)):
+                assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
 
     def test_stationary_vector_is_unique(self):
         a = ladder_generator(4, RatePair.thermal(1.0))

@@ -1,4 +1,6 @@
 import math
+from functools import reduce
+from operator import add
 
 import numpy as np
 import pytest
@@ -13,6 +15,7 @@ from spinheat.sectors import (
 )
 from spinheat.special import xcsch2
 from spinheat.thermo import (
+    _capacity_column,
     block_energy,
     block_heat_capacity,
     collective_heat_capacity,
@@ -22,6 +25,8 @@ from spinheat.thermo import (
     independent_heat_capacity,
     steady_state_energy,
 )
+
+from brute import weights_of_every_kind
 
 
 def direct_moments(two_j, b):
@@ -384,3 +389,32 @@ class TestParityProperties:
         c = block_heat_capacity(two_j, b)
         assert block_heat_capacity(two_j, -b) == c
         assert c >= 0.0
+
+
+def same_float(a: float, b: float) -> bool:
+    """Bit-for-bit equal up to the NaN payload: == with the sign of zero, or both NaN."""
+    return (a == b and math.copysign(1.0, a) == math.copysign(1.0, b)) or (
+        math.isnan(a) and math.isnan(b))
+
+
+# b = 0 of both signs, the least subnormal, values whose square overflows, infinities and NaN
+_EDGE_BS = [0.0, -0.0, 5e-324, -5e-324, 1e155, -1e155, math.inf, -math.inf, math.nan]
+
+
+class TestCapacityColumn:
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    @given(w=weights_of_every_kind(), data=st.data())
+    def test_column_is_the_pointwise_sector_sum(self, w, data):
+        # both sides of the series switch (J + 1/2)|b| = 0.02 of every sector
+        switches = [0.04 / (tj + 1) for tj in w.weights]
+        near = [c for s in switches for b in (s, math.nextafter(s, 0.0), math.nextafter(s, 1.0))
+                for c in (b, -b)]
+        bs = data.draw(st.lists(st.one_of(st.sampled_from(_EDGE_BS), st.sampled_from(near),
+                                          st.floats()), max_size=40))
+        column = _capacity_column(w, bs)
+        assert len(column) == len(bs)
+        for b, c in zip(bs, column):
+            assert same_float(c, collective_heat_capacity(w, b).c_over_kb)
+            # the sum written out: every sector, ascending two_j, left to right from int 0
+            terms = (p * block_heat_capacity(tj, b) for tj, p in sorted(w.weights.items()))
+            assert same_float(c, reduce(add, terms, 0))

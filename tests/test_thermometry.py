@@ -3,7 +3,7 @@ import math
 import mpmath
 import numpy as np
 import pytest
-from hypothesis import assume, example, given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from spinheat import thermometry
@@ -31,7 +31,7 @@ from spinheat.thermometry import (
     qfi_moment_form,
 )
 
-from brute import fisher_energy_by_sector, fisher_projection_by_sector
+from brute import block_weights, fisher_energy_by_sector, fisher_projection_by_sector
 
 
 def random_weights(rng, n, two_s):
@@ -39,17 +39,6 @@ def random_weights(rng, n, two_s):
     keys = sorted(sector_multiplicities(ens).multiplicities)
     raw = rng.dirichlet(np.ones(len(keys)))
     return BlockWeights(ens, dict(zip(keys, map(float, raw))))
-
-
-@st.composite
-def block_weights(draw):
-    """Random weights, some of them zero, over the sectors of an ensemble with n <= 40, 2s <= 5."""
-    ens = SpinEnsemble(draw(st.integers(1, 40)), draw(st.integers(1, 5)))
-    keys = sorted(sector_multiplicities(ens).multiplicities)
-    raw = draw(st.lists(st.one_of(st.just(0.0), st.floats(0.0, 1.0)),
-                        min_size=len(keys), max_size=len(keys)))
-    assume(sum(raw) > 0.0)
-    return BlockWeights(ens, {tj: r / sum(raw) for tj, r in zip(keys, raw)})
 
 
 def outcome_distribution(weights, b):

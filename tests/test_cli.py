@@ -710,6 +710,14 @@ class TestDynamics:
         assert (rc, err) == (0, "")
         assert [row[2] < 1e-15 for row in parse_csv(out)[1]] == [False, True, True]
 
+    def test_times_where_the_norm_overflows(self, capsys):
+        # 2 t max|a_ii| is inf at t = 1e308; the halving count comes from logs instead
+        rc, out, err = run(
+            capsys, "dynamics", "--n", "2", "--spin", "1/2", "--bh", "2", "--grid", "0:1e308:2:lin",
+        )
+        assert (rc, err) == (0, "")
+        assert [row[2] < 1e-15 for row in parse_csv(out)[1]] == [False, True]
+
     def test_nan_bath_is_usage_error(self, capsys):
         rc, _, err = run(
             capsys, "dynamics", "--n", "2", "--spin", "1/2", "--bh", "nan", "--grid", "0:1:2:lin",

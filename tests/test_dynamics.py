@@ -12,6 +12,7 @@ from spinheat.dynamics import (
     ConvergenceError,
     PopulationState,
     RatePair,
+    _halvings,
     _ladder_rates,
     _propagator,
     _square,
@@ -269,7 +270,8 @@ class TestEvolve:
         st = evolve(aligned_state(w, excited=True), gen, 60.0)
         assert st.blocks[2][0] == pytest.approx(1.0, abs=1e-12)
 
-    @pytest.mark.parametrize("two_j, t", [(200, 1e16), (40, 1e18), (3, 1e20), (3, 1e300)])
+    @pytest.mark.parametrize("two_j, t", [(200, 1e16), (40, 1e18), (3, 1e20), (3, 1e300),
+                                          (2, 1e308), (200, 1e308)])
     def test_huge_time_reaches_gibbs(self, two_j, t):
         # tens to a thousand squarings, each doubling the error in a column's unit sum
         rates = RatePair.thermal(2.0)
@@ -277,6 +279,15 @@ class TestEvolve:
         gen = collective_generator(SpinEnsemble(1, two_j), rates)
         for s0 in (aligned_state(w, excited=True), uniform_state(w)):
             assert evolve(s0, gen, t).tv_distance(stationary_state(s0, rates)) < 1e-13
+
+    @pytest.mark.parametrize("two_j, t, k", [(2, 1e300, 997), (2, 1e308, 1023), (200, 1e300, 1009),
+                                             (200, 1e306, 1029), (200, 1e308, 1036),
+                                             (200, 1.7976931348623157e308, 1037)])
+    def test_halvings_past_the_float_range(self, two_j, t, k):
+        # 2 t max|a_ii| overflows from t = 1e306 on 2J = 200; k still brings it to _THETA_13
+        rho = float(np.max(np.abs(_ladder_rates(two_j, RatePair.thermal(2.0))[0])))
+        assert _halvings(rho, t) == k
+        assert 2.0 * rho * math.ldexp(t, -k) <= dynamics._THETA_13 < 2.0 * rho * math.ldexp(t, 1 - k)
 
     def test_negative_time_rejected(self):
         for n in (2, 4):
@@ -506,16 +517,33 @@ def settle(q, p):
     return q * (np.sum(p) / np.sum(q))
 
 
-def worst_l1_from_expm(two_j, b, propagate):
+def generic_expm(m):
+    """scipy's expm(m) through its generic branch, for any m.
+
+    On a triangular m (a ladder at b = inf) scipy recomputes the first
+    superdiagonal after each squaring by Higham's (10.42), which cancels
+    between neighbouring levels: at 128 levels, b = inf, it was 1.05e-14 in l1
+    from a 40-digit mpmath expm, where this was 1.6e-15 and evolve 4.0e-16.
+    Swapping the first and last levels, an exact similarity, breaks the
+    triangle.
+    """
+    swap = np.arange(len(m))
+    swap[[0, -1]] = swap[[-1, 0]]
+    return scipy.linalg.expm(m[np.ix_(swap, swap)])[np.ix_(swap, swap)]
+
+
+def worst_l1_from_expm(two_j, b, propagate, times=None):
     """Largest l1 distance between propagate(generator, t, p) and expm(a t) p,
-    both settled, over three starts and t*gap in {1e-3, 0.5, 2, 50}."""
+    both settled, over three starts and t*gap in {1e-3, 0.5, 2, 50}, or over `times`."""
     gen = collective_generator(SpinEnsemble(1, two_j), RatePair.thermal(b))
     starts = ladder_starts(two_j, b)
     a = gen.blocks[two_j]
-    gap = spectral_gap(PopulationState({two_j: starts["top"]}), gen)
+    if times is None:
+        gap = spectral_gap(PopulationState({two_j: starts["top"]}), gen)
+        times = (1e-3 / gap, 0.5 / gap, 2.0 / gap, 50.0 / gap)
     worst = 0.0
-    for t in (1e-3 / gap, 0.5 / gap, 2.0 / gap, 50.0 / gap):
-        e = scipy.linalg.expm(a * t)
+    for t in times:
+        e = scipy.linalg.expm(a * t) if b < math.inf else generic_expm(a * t)
         for p in starts.values():
             got = settle(propagate(gen, t, p), p)
             worst = max(worst, float(np.sum(np.abs(got - settle(e @ p, p)))))
@@ -605,6 +633,76 @@ class TestLazyGenerator:
         a[0, 0] = 1.0  # the caller's own copy: the next read is built afresh
         assert gen.blocks[4][0, 0] < 0.0
         assert built == [4, 4]
+
+
+def gate_times(two_j, b, ks=None):
+    """Times at both ends of each halving count k (all the band gate admits on this
+    ladder, or `ks`): 1e-3 of the k = 0 range, then just past and just short of the
+    times where k steps up."""
+    rho = float(np.max(np.abs(_ladder_rates(two_j, RatePair.thermal(b))[0])))
+    if ks is None:
+        ks = range(min(two_j + 1, dynamics._BAND_STEPS).bit_length())
+    times = []
+    for k in ks:
+        top = dynamics._THETA_13 * 2.0**k / (2.0 * rho)
+        for t in (top * (1e-3 if k == 0 else 0.5 + 1e-9), top * (1.0 - 1e-9)):
+            assert _halvings(rho, t) == k
+            times.append(t)
+    return times
+
+
+def refuse(*args):
+    raise AssertionError("this route must not be taken")
+
+
+class TestBandedPade:
+    """evolve steps large ladders' vectors by the banded [13/13] Pade approximant."""
+
+    @pytest.mark.parametrize("b", [0.5, 2.0, 5.0, 20.0, math.inf])
+    @pytest.mark.parametrize("two_j", [dynamics._BAND_LEVELS - 2, dynamics._BAND_LEVELS - 1,
+                                       dynamics._BAND_STEPS - 1, 200, 521])
+    def test_matches_scipy_expm_at_every_admitted_k(self, two_j, b):
+        # the first ladder is one level short of the floor and keeps the dense route;
+        # 2J = _BAND_STEPS - 1 is the shortest ladder that admits _BAND_STEPS steps
+        assert worst_l1_from_expm(two_j, b, evolve_ladder, gate_times(two_j, b)) <= 1e-14
+
+    @pytest.mark.parametrize("b", [0.5, 2.0, 5.0, 20.0, math.inf])
+    def test_matches_scipy_expm_on_1001_levels(self, b):
+        # each expm of 1001 levels costs about a second, so k = 0, 4 and the cap's only
+        ks = (0, 4, dynamics._BAND_STEPS.bit_length() - 1)
+        assert worst_l1_from_expm(1000, b, evolve_ladder, gate_times(1000, b, ks)) <= 1e-14
+
+    def test_large_ladder_builds_no_dense_block(self, built, monkeypatch):
+        two_j = 200
+        gen = collective_generator(SpinEnsemble(1, two_j), RatePair.thermal(2.0))
+        p = ladder_starts(two_j, 2.0)["top"]
+        t = 2.0 / spectral_gap(PopulationState({two_j: p}), gen)
+        monkeypatch.setattr(dynamics, "_propagator", refuse)
+        got = evolve_ladder(gen, t, p)
+        assert built == []
+        e = scipy.linalg.expm(ladder_generator(two_j, gen.rates) * t)
+        assert float(np.sum(np.abs(got - settle(e @ p, p)))) <= 1e-14
+
+    @pytest.mark.parametrize("two_j, t_gap", [(200, 50.0), (dynamics._BAND_LEVELS - 2, 2.0)])
+    def test_long_times_and_short_ladders_stay_dense(self, monkeypatch, two_j, t_gap):
+        # t*gap = 50 on 201 levels needs 2^k = 2048 steps, more than the ladder's length
+        gen = collective_generator(SpinEnsemble(1, two_j), RatePair.thermal(2.0))
+        p = ladder_starts(two_j, 2.0)["top"]
+        t = t_gap / spectral_gap(PopulationState({two_j: p}), gen)
+        monkeypatch.setattr(dynamics, "_band_action", refuse)
+        want = settle(_propagator(gen.blocks[two_j], t) @ p, p)
+        assert np.array_equal(evolve_ladder(gen, t, p), want)
+
+    # Without b_0, Q = V - U has the generator's zero mode and every population
+    # is clipped away. b_11 X^11 to b_13 X^13 stay below the rounding here: the
+    # spectral radius of X is well under its norm bound _THETA_13.
+    @pytest.mark.parametrize("j", range(1, 11))
+    def test_planted_dropped_coefficient_fails(self, monkeypatch, j):
+        two_j = dynamics._BAND_LEVELS - 1
+        pade = dynamics._PADE_13.copy()
+        pade[j] = 0.0
+        monkeypatch.setattr(dynamics, "_PADE_13", pade)
+        assert worst_l1_from_expm(two_j, 2.0, evolve_ladder, gate_times(two_j, 2.0)) > 1e-14
 
 
 # (case, time, gap), pinned bit for bit: relaxation_time's propagators come
